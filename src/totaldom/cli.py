@@ -20,22 +20,21 @@ from .families import FamilySpec, generate, parse_family_range
 from .graph import Graph, format_edge_list, parse_edge_list
 from .verify import TheoremId, sweep, sweep_csv, verify
 
-_CONFIG_COERCERS = {
-    "family": str,
-    "input": str,
-    "output": str,
-    "format": str,
-    "strategy": str,
-    "theorem": str,
-    "scale": str,
-    "node_limit": int,
-    "time_limit": float,
-    "jobs": int,
-    "seed": int,
-    "no_exact": None,  # boolean
-    "paranoid": None,
-    "stats": None,
-}
+# keys a --config file may set: the long flags, with '_' for '-'
+_CONFIG_KEYS = frozenset(
+    "family input output format strategy theorem scale node_limit time_limit "
+    "jobs seed no_exact paranoid stats".split()
+)
+
+
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--list", action="store_true", help="list claim ids and exit")
     p.add_argument("--scale", choices=["quick", "full"], default="quick")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
@@ -115,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="family sweep table")
     p.add_argument("--family", required=True, help="spec with a..b ranges")
     p.add_argument("--seed", type=int, help="override the family's seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--config", help="key=value file mirroring the flags")
     p.set_defaults(func=_cmd_sweep)
@@ -123,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> dict[str, str]:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -132,27 +131,27 @@ def _load_config(path: str) -> dict:
                 continue
             key, eq, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if not eq or key not in _CONFIG_COERCERS:
+            if not eq or key not in _CONFIG_KEYS:
                 raise ToolkitError(f"config line {line_no}: cannot parse {raw!r}")
-            coerce = _CONFIG_COERCERS[key]
-            if coerce is None:
-                values[key] = value.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                values[key] = coerce(value.strip())
+            values[key] = value.strip()
     return values
 
 
-def _flag_given(argv: list[str], key: str) -> bool:
-    flag = "--" + key.replace("_", "-")
-    return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-
-
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
+def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """``argv`` with the config file's values inserted as flags ahead of the
+    given ones, so the parser checks them like flags and a flag given on the
+    command line wins. Keys that name no flag of the subcommand are skipped."""
+    flags = []
     for key, value in _load_config(args.config).items():
-        if hasattr(args, key) and not _flag_given(argv, key):
-            setattr(args, key, value)
+        if not hasattr(args, key):
+            continue
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if value.lower() in ("1", "true", "yes", "on"):
+                flags.append(flag)
+        else:
+            flags.append(f"{flag}={value}")
+    return [*argv[:1], *flags, *argv[1:]]
 
 
 def _solver_config(args) -> SolverConfig:
@@ -341,7 +340,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        if args.config:
+            args = parser.parse_args(_with_config(args, argv))
         return args.func(args, argv)
     except ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)

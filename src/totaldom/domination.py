@@ -151,7 +151,6 @@ def _bnb_min_cover(
     lower_bound: int,
     node_limit: int | None,
     deadline: float | None,
-    prune: bool = True,
 ) -> tuple[int, int, int]:
     """Branch-and-bound minimum cover. Returns (value, witness_mask, nodes).
 
@@ -203,19 +202,18 @@ def _bnb_min_cover(
             size += 1
 
         unc = full & ~covered
-        if prune:
-            max_gain = 0
-            m = full & ~chosen
-            while m:
-                low = m & -m
-                gain = (cover[low.bit_length() - 1] & unc).bit_count()
-                if gain > max_gain:
-                    max_gain = gain
-                m ^= low
-            if max_gain == 0:
-                return
-            if size + -(-unc.bit_count() // max_gain) >= best_value:
-                return
+        max_gain = 0
+        m = full & ~chosen
+        while m:
+            low = m & -m
+            gain = (cover[low.bit_length() - 1] & unc).bit_count()
+            if gain > max_gain:
+                max_gain = gain
+            m ^= low
+        if max_gain == 0:
+            return
+        if size + -(-unc.bit_count() // max_gain) >= best_value:
+            return
 
         v = (unc & -unc).bit_length() - 1
         cands = cover[v] & ~chosen
@@ -296,18 +294,10 @@ def gamma_t(g: Graph, config: SolverConfig | None = None) -> DominationResult | 
 def greedy_total_dominating(g: Graph) -> VertexSet | None:
     """Valid (not necessarily minimum) total dominating set, greedily built.
 
-    None when an isolated vertex exists. Cover phase takes the vertex with
-    most uncovered open-neighborhood gain (lowest index on ties); a repair
-    pass then gives any member without a neighbor in S its lowest neighbor.
+    None when an isolated vertex exists. Takes the vertex with most
+    uncovered open-neighborhood gain (lowest index on ties) until the open
+    neighborhoods cover V.
     """
     if g.isolated_mask():
         return None
-    chosen = _greedy_cover(g.adj_masks, g.n)
-    m = chosen
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        if g.adj_masks[v] & chosen == 0:
-            chosen |= g.adj_masks[v] & -g.adj_masks[v]
-    return VertexSet(g.n, chosen)
+    return VertexSet(g.n, _greedy_cover(g.adj_masks, g.n))

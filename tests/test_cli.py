@@ -296,6 +296,42 @@ class TestConfigFile:
         assert code == 2
 
 
+VERIFY = ("verify", "--theorem", "path_cycle_formula")
+SWEEP = ("sweep", "--family", "cycle:n=3..4")
+COMPUTE = ("compute", "--family", "cycle:n=5")
+
+
+class TestUsageErrors:
+    # argparse reports a usage error by exiting with code 2; jobs values are
+    # kept to 0 and -1 so that no worker pool is ever started
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (VERIFY, "jobs=abc"),
+            (VERIFY, "scale=huge"),
+            (VERIFY, "jobs=0"),
+            (VERIFY, "jobs=-1"),
+            (SWEEP, "jobs=0"),
+            (COMPUTE, "strategy=foo"),
+        ],
+    )
+    def test_bad_config_value_exit_2(self, capsys, tmp_path, argv, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        self.usage_error(capsys, *argv, "--config", str(cfg))
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [VERIFY, SWEEP])
+    def test_jobs_below_one_exit_2(self, capsys, argv, jobs):
+        self.usage_error(capsys, *argv, "--jobs", jobs)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(

@@ -20,7 +20,7 @@ from totaldom import (
     is_dominating,
     is_total_dominating,
 )
-from totaldom.domination import _bnb_min_cover, _greedy_cover
+from totaldom.domination import _greedy_cover
 
 from conftest import (
     brute_force_min_dominating,
@@ -255,7 +255,9 @@ class TestGreedy:
 
 
 class TestPruningSoundness:
-    def test_disabled_pruning_same_value_on_200_seeded_graphs(self):
+    def test_bnb_matches_exhaustive_on_200_seeded_graphs(self):
+        # the exhaustive strategy never prunes, so it checks every prune
+        # the branch and bound makes
         for i in range(200):
             spec = FamilySpec(
                 kind=FamilyKind.RANDOM_GRAPH,
@@ -266,14 +268,7 @@ class TestPruningSoundness:
             g = generate(spec)
             if g.isolated_mask():
                 continue
-            seed_set = greedy_total_dominating(g)
-            pruned = _bnb_min_cover(
-                g.adj_masks, g.n, seed_set.mask, 2, None, None, prune=True
-            )
-            free = _bnb_min_cover(
-                g.adj_masks, g.n, seed_set.mask, 2, None, None, prune=False
-            )
-            assert pruned[0] == free[0], str(spec)
+            assert gamma_t(g).value == gamma_t(g, EXHAUSTIVE).value, str(spec)
 
 
 class TestLimits:

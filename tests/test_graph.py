@@ -3,7 +3,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from totaldom import (
@@ -155,14 +155,15 @@ def test_profile_relabel_invariant(inp, rng):
     assert pg.is_connected == ph.is_connected
 
 
+# non-bipartite with even girth: the 4-cycle 0-3-2-4 is shortest, and the
+# 5-cycle 0-1-5-2-3 is odd
+@example((7, [(0, 1), (0, 3), (0, 4), (1, 5), (2, 3), (2, 4), (2, 5)]))
 @given(graph_inputs(max_n=7))
 def test_bipartite_girth_odd_cycle_consistency(inp):
     n, edges = inp
     g = Graph(n, edges)
     p = profile(g)
     has_bipartition = p.bipartition is not None
-    girth_even_or_infinite = p.girth == INFINITE or p.girth % 2 == 0
-    # three independent routes must agree
     assert has_bipartition == nx.is_bipartite(to_networkx(g))
     if has_bipartition:
         a, b = p.bipartition
@@ -170,9 +171,10 @@ def test_bipartite_girth_odd_cycle_consistency(inp):
         assert not (a & b)
         for u, v in g.edges():
             assert (u in a) != (v in a)
-        assert girth_even_or_infinite
-    else:
-        assert not girth_even_or_infinite  # an odd cycle exists
+    # a shortest cycle of odd length is an odd cycle; the converse does not
+    # hold, since an odd cycle can sit beside a shorter even one
+    if p.girth != INFINITE and p.girth % 2 == 1:
+        assert not has_bipartition
 
 
 @given(graph_inputs(min_n=2, max_n=7))

@@ -1,8 +1,11 @@
+import dataclasses
+import importlib
 import json
 
 import pytest
 
 from totaldom import (
+    INFINITE,
     DomainTooLarge,
     FamilySpec,
     Graph,
@@ -11,15 +14,26 @@ from totaldom import (
     gamma,
     gamma_t,
     parse_family_range,
+    profile,
     scan_bound_claims,
     sweep,
     sweep_csv,
     verify,
 )
 from totaldom.bounds import path_cycle_formula
-from totaldom.verify import SWEEP_COLUMNS, _combos, _cover_value, random_graph_specs
+from totaldom.verify import (
+    SWEEP_COLUMNS,
+    _combos,
+    _cover_value,
+    _diameter_is_2,
+    _girth_if_at_least_5,
+    random_graph_specs,
+)
 
 from conftest import edge_mask_graphs
+
+# the package re-exports the function verify under the module's name
+verify_mod = importlib.import_module("totaldom.verify")
 
 
 def test_theorem_ids_closed_enumeration():
@@ -52,6 +66,29 @@ class TestScanAgreesWithSolvers:
                 assert _cover_value(list(g.adj_masks), full, combos) == res.value
                 closed = [a | (1 << v) for v, a in enumerate(g.adj_masks)]
                 assert _cover_value(closed, full, combos) == gamma(g).value
+
+
+class TestScanGates:
+    # the scan's fast gates against the structural profile, on every
+    # labeled graph with n <= 6
+    def test_diameter_is_2_matches_profile(self):
+        for n in range(1, 7):
+            for _, edges in edge_mask_graphs(n):
+                g = Graph(n, edges)
+                assert _diameter_is_2(g.adj_masks, n, g.full_mask) == (
+                    profile(g).diameter == 2
+                ), edges
+
+    def test_girth_if_at_least_5_matches_profile(self):
+        for n in range(1, 7):
+            for _, edges in edge_mask_graphs(n):
+                g = Graph(n, edges)
+                deg = g.degrees()
+                if min(deg) < 2:
+                    continue
+                girth = profile(g).girth
+                expected = girth if girth != INFINITE and girth >= 5 else None
+                assert _girth_if_at_least_5(g.adj_masks, n, deg) == expected, edges
 
 
 class TestScan:
@@ -127,6 +164,35 @@ class TestVerifyArms:
         reports = verify_all("quick", jobs=2)
         assert [r.theorem for r in reports] == list(TheoremId)
         assert all(r.verdict == "PASS" for r in reports)
+
+    @pytest.mark.parametrize(
+        "theorem, detail",
+        [
+            (TheoremId.CONNECTED_UPPER, {"gamma_t": 3, "bound": 2}),
+            (TheoremId.DIAM2_UPPER, {"gamma_t": 3, "bound": 2}),
+            (TheoremId.GIRTH_UPPER, {"gamma_t": 3, "girth": 5, "bound": 2}),
+        ],
+    )
+    def test_random_graph_arm_reports_violated_bound(self, monkeypatch, theorem, detail):
+        # C5 passes all three gates and meets each bound with equality, so
+        # lowering every bound by one makes the random-graph route fail
+        real_all_bounds = verify_mod.all_bounds
+
+        def lowered(g, exact=None, prof=None):
+            return [
+                dataclasses.replace(r, value=r.value - 1) if r.applicable else r
+                for r in real_all_bounds(g, exact, prof)
+            ]
+
+        monkeypatch.setattr(verify_mod, "all_bounds", lowered)
+        monkeypatch.setattr(
+            verify_mod, "random_graph_specs", lambda: [FamilySpec.parse("cycle:n=5")]
+        )
+        r = verify(theorem, "quick")
+        assert r.counterexamples == [
+            {"instance": {"family": "cycle:n=5"}, "detail": detail}
+        ]
+        assert list(r.counterexamples[0]["detail"]) == list(detail)
 
     def test_verdict_fail_on_counterexamples(self):
         r = VerificationReport(
