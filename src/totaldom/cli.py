@@ -2,7 +2,8 @@
 
 Stdout carries exclusively the requested output format so pipelines can
 consume it; diagnostics go to stderr. Exit codes: 0 success or all-PASS,
-1 counterexample or cross-check mismatch, 2 usage error, 3 resource limit.
+1 counterexample or cross-check mismatch, 2 usage error, 3 resource limit,
+141 stdout closed by its reader (the status a shell reports for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -17,7 +19,13 @@ from .bounds import all_bounds
 from .domination import DominationResult, SolverConfig, Strategy, gamma, gamma_t
 from .errors import ResourceExhausted, ToolkitError
 from .families import FamilySpec, generate, parse_family_range
-from .graph import Graph, format_edge_list, parse_edge_list
+from .graph import (
+    Graph,
+    format_edge_list,
+    parse_edge_list,
+    read_edge_list,
+    write_edge_list,
+)
 from .verify import TheoremId, sweep, sweep_csv, verify
 
 # keys a --config file may set: the long flags, with '_' for '-'
@@ -178,8 +186,7 @@ def _load_graph(args) -> Graph:
     if args.input is not None:
         if args.input == "-":
             return parse_edge_list(sys.stdin.read())
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
+        return read_edge_list(args.input)
     spec = _spec_with_seed(FamilySpec.parse(args.family), args.seed)
     return generate(spec)
 
@@ -200,7 +207,7 @@ def _stats_dict(result: DominationResult | None) -> dict | None:
     }
 
 
-def _cmd_compute(args, argv) -> int:
+def _cmd_compute(args) -> int:
     g = _load_graph(args)
     cfg = _solver_config(args)
     res_g = gamma(g, cfg)
@@ -252,7 +259,7 @@ def _cmd_compute(args, argv) -> int:
     return 0
 
 
-def _cmd_bounds(args, argv) -> int:
+def _cmd_bounds(args) -> int:
     g = _load_graph(args)
     exact = None
     if not args.no_exact:
@@ -281,18 +288,17 @@ def _cmd_bounds(args, argv) -> int:
     return 0
 
 
-def _cmd_family(args, argv) -> int:
+def _cmd_family(args) -> int:
     spec = _spec_with_seed(FamilySpec.parse(args.family), args.seed)
-    text = format_edge_list(generate(spec))
+    g = generate(spec)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_edge_list(g, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_edge_list(g))
     return 0
 
 
-def _cmd_verify(args, argv) -> int:
+def _cmd_verify(args) -> int:
     if args.list:
         for t in TheoremId:
             print(t.value)
@@ -323,7 +329,7 @@ def _cmd_verify(args, argv) -> int:
     return 0 if all(r.verdict == "PASS" for r in reports) else 1
 
 
-def _cmd_sweep(args, argv) -> int:
+def _cmd_sweep(args) -> int:
     specs = [
         _spec_with_seed(s, args.seed) for s in parse_family_range(args.family)
     ]
@@ -342,10 +348,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = parser.parse_args(_with_config(args, argv))
-        return args.func(args, argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
     except ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # shutdown stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,9 @@ MASK64 = (1 << 64) - 1
 
 ENUMERATION_MAX_N = 7
 
+# most instances one sweep may run
+SWEEP_BUDGET = 10_000
+
 
 class FamilyKind(str, Enum):
     PATH = "path"
@@ -113,8 +116,8 @@ class FamilySpec:
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
-        kind, params = _parse_kind_params(text)
-        return cls(kind=kind, **params)
+        kind, raw = _parse_kind_params(text)
+        return cls(kind=kind, **{k: _parse_value(k, v) for k, v in raw.items()})
 
 
 def _format_fraction(p: Fraction) -> str:
@@ -138,13 +141,14 @@ def _parse_value(name: str, raw: str):
         raise InvalidFamily(f"cannot parse integer {name}={raw!r}") from None
 
 
-def _parse_kind_params(text: str) -> tuple[FamilyKind, dict]:
+def _parse_kind_params(text: str) -> tuple[FamilyKind, dict[str, str]]:
+    """Split 'kind:key=value,...' into the kind and the raw value strings."""
     head, sep, tail = text.partition(":")
     try:
         kind = FamilyKind(head.strip())
     except ValueError:
         raise InvalidFamily(f"unknown family kind {head.strip()!r}") from None
-    params: dict = {}
+    params: dict[str, str] = {}
     if sep and tail.strip():
         for item in tail.split(","):
             key, eq, raw = item.partition("=")
@@ -153,7 +157,7 @@ def _parse_kind_params(text: str) -> tuple[FamilyKind, dict]:
                 raise InvalidFamily(
                     f"{kind.value}: unexpected parameter {item.strip()!r}"
                 )
-            params[key] = _parse_value(key, raw.strip())
+            params[key] = raw.strip()
     return kind, params
 
 
@@ -162,43 +166,40 @@ def parse_family_range(text: str) -> list[FamilySpec]:
 
     Ranges expand as a cartesian product in canonical parameter order with
     the last parameter varying fastest. Combinations that violate the
-    family's constraints are skipped.
+    family's constraints are skipped. Raises DomainTooLarge as soon as more
+    than SWEEP_BUDGET specs are valid, before the rest is expanded.
     """
-    head, _, tail = text.partition(":")
-    try:
-        kind = FamilyKind(head.strip())
-    except ValueError:
-        raise InvalidFamily(f"unknown family kind {head.strip()!r}") from None
-    ranges: dict[str, list] = {}
-    if tail.strip():
-        for item in tail.split(","):
-            key, eq, raw = item.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if not eq or key not in _PARAMS[kind]:
-                raise InvalidFamily(f"{kind.value}: unexpected parameter {item.strip()!r}")
-            if ".." in raw and key != "p":
-                lo_s, _, hi_s = raw.partition("..")
-                lo, hi = _parse_value(key, lo_s), _parse_value(key, hi_s)
-                if hi < lo:
-                    raise InvalidFamily(f"empty range {raw!r} for {key}")
-                ranges[key] = list(range(lo, hi + 1))
-            else:
-                ranges[key] = [_parse_value(key, raw)]
-    names = [name for name in _PARAMS[kind] if name in ranges]
-    missing = [name for name in _PARAMS[kind] if name not in ranges]
+    kind, raw = _parse_kind_params(text)
+    axes: dict[str, Sequence] = {}
+    for key, value in raw.items():
+        if ".." in value and key != "p":
+            lo_s, _, hi_s = value.partition("..")
+            lo, hi = _parse_value(key, lo_s), _parse_value(key, hi_s)
+            if hi < lo:
+                raise InvalidFamily(f"empty range {value!r} for {key}")
+            axes[key] = range(lo, hi + 1)
+        else:
+            axes[key] = (_parse_value(key, value),)
+    missing = [name for name in _PARAMS[kind] if name not in axes]
     if missing:
         raise InvalidFamily(f"{kind.value}: parameter(s) {', '.join(missing)} missing")
+    names = _PARAMS[kind]
     specs: list[FamilySpec] = []
 
     def expand(i: int, chosen: dict):
         if i == len(names):
             try:
-                specs.append(FamilySpec(kind=kind, **chosen))
+                spec = FamilySpec(kind=kind, **chosen)
             except InvalidFamily:
-                pass
+                return
+            specs.append(spec)
+            if len(specs) > SWEEP_BUDGET:
+                raise DomainTooLarge(
+                    f"family range {text!r} expands past the sweep budget of "
+                    f"{SWEEP_BUDGET} instances"
+                )
             return
-        for value in ranges[names[i]]:
+        for value in axes[names[i]]:
             chosen[names[i]] = value
             expand(i + 1, chosen)
 

@@ -140,11 +140,15 @@ class StructuralProfile:
 # -- mask-level helpers (shared with families and verify hot paths) ----------
 
 
-def reachable_mask(adj: Sequence[int], start: int) -> int:
-    """Bitmask of vertices reachable from ``start``."""
-    seen = 1 << start
-    frontier = seen
+def bfs_layers(adj: Sequence[int], start: int) -> list[int]:
+    """Breadth-first frontiers from ``start`` as bitmasks: entry d holds the
+    vertices at distance d. This frontier loop is the one traversal of the
+    module; two_coloring_masks and girth_masks run it inline to read events
+    inside a layer."""
+    seen = frontier = 1 << start
+    layers = []
     while frontier:
+        layers.append(frontier)
         nxt = 0
         m = frontier
         while m:
@@ -153,7 +157,12 @@ def reachable_mask(adj: Sequence[int], start: int) -> int:
             m ^= low
         frontier = nxt & ~seen
         seen |= frontier
-    return seen
+    return layers
+
+
+def reachable_mask(adj: Sequence[int], start: int) -> int:
+    """Bitmask of vertices reachable from ``start``."""
+    return sum(bfs_layers(adj, start))  # the layers are disjoint
 
 
 def is_connected_masks(adj: Sequence[int], n: int) -> bool:
@@ -176,99 +185,72 @@ def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:
     """2-coloring as (mask_a, mask_b), or None if an odd cycle exists.
 
     The lowest-indexed vertex of every component (isolated vertices included)
-    lands in side a, which makes the partition deterministic.
+    lands in side a, which makes the partition deterministic. Sides alternate
+    by BFS layer, and an edge inside a layer closes an odd cycle. The frontier
+    loop of ``bfs_layers`` runs inline here, so that the check reads the
+    layer's neighbourhood as it is built and stops at the first such layer:
+    the labeled scan calls this about two million times per pass.
     """
-    color = [-1] * n
-    mask_a = mask_b = 0
-    for root in range(n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        mask_a |= 1 << root
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            m = adj[x]
+    sides = [0, 0]
+    remaining = (1 << n) - 1
+    while remaining:
+        seen = frontier = remaining & -remaining
+        depth = 0
+        while frontier:
+            sides[depth & 1] |= frontier
+            nxt = 0
+            m = frontier
             while m:
                 low = m & -m
-                y = low.bit_length() - 1
+                nxt |= adj[low.bit_length() - 1]
                 m ^= low
-                if color[y] == -1:
-                    color[y] = color[x] ^ 1
-                    if color[y] == 0:
-                        mask_a |= 1 << y
-                    else:
-                        mask_b |= 1 << y
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return None
-    return mask_a, mask_b
-
-
-def bfs_distances(adj: Sequence[int], n: int, start: int) -> list[int]:
-    """Shortest-path distances from ``start``; -1 for unreachable vertices."""
-    dist = [-1] * n
-    dist[start] = 0
-    seen = 1 << start
-    frontier = seen
-    d = 0
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
-        m = frontier
-        while m:
-            low = m & -m
-            dist[low.bit_length() - 1] = d
-            m ^= low
-    return dist
+            if nxt & frontier:
+                return None
+            frontier = nxt & ~seen
+            seen |= frontier
+            depth += 1
+        remaining &= ~seen
+    return sides[0], sides[1]
 
 
 def diameter_masks(adj: Sequence[int], n: int) -> float:
     if not is_connected_masks(adj, n):
         return INFINITE
-    best = 0
-    for s in range(n):
-        dist = bfs_distances(adj, n, s)
-        best = max(best, max(dist))
-    return best
+    return max(len(bfs_layers(adj, s)) for s in range(n)) - 1
 
 
 def girth_masks(adj: Sequence[int], n: int) -> float:
     """Length of a shortest cycle; INFINITE when acyclic.
 
-    BFS from every root; a non-tree edge seen at depths (dx, dy) witnesses a
-    closed walk of length dx+dy+1, and the minimum over all roots is exact.
+    BFS from every root, reading two events at depth d: an edge inside
+    layer d closes a cycle of length at most 2d+1, and a new vertex reached
+    from two layer-d vertices closes one of length at most 2d+2 (each event
+    closes a walk that uses one edge once, so the walk holds a cycle no
+    longer than itself). From a root on a shortest cycle, BFS distances
+    along that cycle equal the cycle distances, since a shortcut would close
+    a shorter cycle; so that root's first event has exactly the girth, and
+    the minimum over all roots is exact.
     """
     best = INFINITE
     for root in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            if dist[x] * 2 >= best:
-                break
-            m = adj[x]
+        seen = frontier = 1 << root
+        d = 0
+        while frontier and 2 * d + 1 < best:
+            nxt = twice = 0
+            m = frontier
             while m:
                 low = m & -m
-                y = low.bit_length() - 1
+                a = adj[low.bit_length() - 1]
+                twice |= nxt & a  # also a neighbour of an earlier frontier vertex
+                nxt |= a
                 m ^= low
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y:
-                    best = min(best, dist[x] + dist[y] + 1)
+            if nxt & frontier:
+                best = 2 * d + 1
+            elif twice & ~seen:
+                best = 2 * d + 2
+            frontier = nxt & ~seen
+            seen |= frontier
+            d += 1
         if best == 3:
             return 3
     return best

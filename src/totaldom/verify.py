@@ -28,6 +28,7 @@ from .bounds import (
 from .domination import gamma, gamma_t, is_total_dominating
 from .errors import DomainTooLarge, ToolkitError
 from .families import (
+    SWEEP_BUDGET,
     FamilyKind,
     FamilySpec,
     _format_fraction,
@@ -594,8 +595,6 @@ def verify_all(scale: str = "quick", jobs: int = 1) -> list[VerificationReport]:
 
 # -- sweeps ---------------------------------------------------------------------
 
-SWEEP_BUDGET = 10_000
-
 SWEEP_COLUMNS = (
     "family",
     "n",
@@ -630,7 +629,6 @@ def _fmt(value) -> str:
 
 def _sweep_row(spec: FamilySpec) -> dict[str, str]:
     g = generate(spec)
-    prof = profile(g)
     res_t = gamma_t(g)
     exact = res_t.value if res_t is not None else None
     row = {
@@ -644,13 +642,11 @@ def _sweep_row(spec: FamilySpec) -> dict[str, str]:
         "gamma": str(gamma(g).value),
         "gamma_t": _fmt(exact),
     }
-    for report in all_bounds(g, exact=exact, prof=prof):
+    for report in all_bounds(g, exact=exact):
         row[report.bound] = _fmt(report.value)
         row[f"{report.bound}_tight"] = _fmt(report.tight)
-    extremal = None
-    if exact is not None:
-        extremal = exact == g.n - prof.max_degree + 1
-    row["extremal"] = _fmt(extremal)
+    # extremal means gamma_t == n - Delta + 1: the Cockayne bound is tight
+    row["extremal"] = row["cockayne_upper_tight"]
     return row
 
 

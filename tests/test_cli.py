@@ -342,6 +342,22 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "gamma_t=3" in proc.stdout
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # the JSON (about 290 kB) outgrows the pipe buffer, so the writes
+        # after the reader closes fail every time
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "totaldom", "sweep", "--family",
+             "random:n=8,p=0.5,seed=1..600", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
     def test_usage_error_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "totaldom", "compute", "--format", "yaml",

@@ -19,6 +19,8 @@ from totaldom import (
     profile,
     prufer_decode,
 )
+from totaldom import families
+from totaldom.families import SWEEP_BUDGET
 
 
 def spec(text):
@@ -258,3 +260,17 @@ class TestRanges:
     def test_missing_param(self):
         with pytest.raises(InvalidFamily):
             parse_family_range("circular:d=3")
+
+    def test_budget_refused_before_expanding(self, monkeypatch):
+        # 15 x 20,000 = 300,000 valid specs; building stops one past the budget
+        built = []
+
+        class CountingSpec(FamilySpec):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(families, "FamilySpec", CountingSpec)
+        with pytest.raises(DomainTooLarge, match="budget"):
+            parse_family_range("random:n=2..16,p=0.3,seed=1..20000")
+        assert len(built) <= SWEEP_BUDGET + 1

@@ -20,7 +20,7 @@ from totaldom import (
 )
 from totaldom.families import FamilyKind, FamilySpec, generate
 
-from conftest import graph_inputs
+from conftest import edge_mask_graphs, graph_inputs
 
 
 def to_networkx(g):
@@ -131,6 +131,23 @@ class TestProfile:
         assert p.diameter == 0
         assert p.is_connected
         assert list(p.isolated) == [0]
+
+
+def test_profile_matches_networkx_on_every_graph_up_to_6():
+    # 33,867 labeled graphs: diameter, girth and bipartiteness against an
+    # implementation that shares no code with the bitmask traversal
+    count = 0
+    for n in range(1, 7):
+        for _, edges in edge_mask_graphs(n):
+            g = Graph(n, edges)
+            h = to_networkx(g)
+            p = profile(g)
+            diameter = nx.diameter(h) if nx.is_connected(h) else INFINITE
+            assert p.diameter == diameter, (n, edges)
+            assert p.girth == nx.girth(h), (n, edges)
+            assert (p.bipartition is not None) == nx.is_bipartite(h), (n, edges)
+            count += 1
+    assert count == 33_867
 
 
 @given(graph_inputs())
