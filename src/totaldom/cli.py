@@ -200,11 +200,9 @@ def _witness_text(result: DominationResult | None) -> str:
 def _stats_dict(result: DominationResult | None) -> dict | None:
     if result is None:
         return None
-    return {
-        "subsets_examined": result.stats.subsets_examined,
-        "branch_nodes": result.stats.branch_nodes,
-        "elapsed_ms": int(result.stats.elapsed_seconds * 1000),
-    }
+    counters = dataclasses.asdict(result.stats)
+    elapsed = counters.pop("elapsed_seconds")
+    return {**counters, "elapsed_ms": int(elapsed * 1000)}
 
 
 def _cmd_compute(args) -> int:
@@ -251,11 +249,8 @@ def _cmd_compute(args) -> int:
             for name, res in (("gamma", res_g), ("gamma_t", res_t)):
                 st = _stats_dict(res)
                 if st is not None:
-                    print(
-                        f"{name}_stats subsets_examined={st['subsets_examined']} "
-                        f"branch_nodes={st['branch_nodes']} "
-                        f"elapsed_ms={st['elapsed_ms']}"
-                    )
+                    fields = " ".join(f"{key}={value}" for key, value in st.items())
+                    print(f"{name}_stats {fields}")
     return 0
 
 

@@ -6,9 +6,19 @@ when the open neighborhoods do. The two strategies are
 
 * exhaustive: subsets in (cardinality, lexicographic) order, so the first
   hit is minimum and the reported witness is canonical, and
-* branch and bound: branch on the lowest-indexed uncovered vertex over the
-  vertices able to cover it, seeded with a greedy incumbent and pruned with
-  the counting lower bound |S| + ceil(uncovered / max residual coverage).
+* branch and bound, seeded with a greedy incumbent. A candidate is live
+  when it is neither chosen nor banned: once the branch that picks u has
+  returned, its later siblings ban u, since every cover holding u was
+  searched there. An uncovered vertex with no live candidate ends the
+  branch, and one with a single live candidate forces it. The search
+  branches on the uncovered vertex with the fewest live candidates (lowest
+  index on ties), over those candidates by decreasing gain, and prunes
+  where |S| + lower bound reaches the incumbent, with three lower bounds:
+  one more pick while anything is uncovered; the packing bound, a greedy
+  set of uncovered vertices with pairwise disjoint live candidate sets,
+  each of which needs its own pick (for gamma_t, the open-packing bound
+  rho_o(G) <= gamma_t(G)); and the counting bound, ceil(uncovered / the
+  largest number of uncovered vertices one live candidate covers).
 
 A solve is pure: same graph and config, same result, bit for bit.
 """
@@ -16,7 +26,7 @@ A solve is pure: same graph and config, same result, bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Sequence
@@ -46,8 +56,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverStats:
+    """Work done by one solve. The exhaustive strategy counts only subsets;
+    branch and bound counts nodes, forced picks and its prunes by reason."""
+
     subsets_examined: int = 0
     branch_nodes: int = 0
+    forced_picks: int = 0
+    prunes_dead: int = 0
+    prunes_incumbent: int = 0
+    prunes_packing: int = 0
+    prunes_counting: int = 0
     elapsed_seconds: float = 0.0
 
 
@@ -151,21 +169,24 @@ def _bnb_min_cover(
     lower_bound: int,
     node_limit: int | None,
     deadline: float | None,
-) -> tuple[int, int, int]:
-    """Branch-and-bound minimum cover. Returns (value, witness_mask, nodes).
+) -> tuple[int, int, dict[str, int]]:
+    """Branch-and-bound minimum cover.
 
-    ``seed_mask`` must be a valid cover (the incumbent); ``lower_bound`` a
-    proven global lower bound, used only for an early exit.
+    Returns (value, witness_mask, counters), the counters named as the
+    ``SolverStats`` fields they fill. ``seed_mask`` must be a valid cover
+    (the incumbent); ``lower_bound`` a proven global lower bound, used only
+    for an early exit.
     """
     full = (1 << n) - 1
     best_mask = seed_mask
     best_value = seed_mask.bit_count()
-    nodes = 0
+    nodes = forced_picks = dead = incumbent = packing = counting = 0
     if best_value <= lower_bound:
-        return best_value, best_mask, nodes
+        return best_value, best_mask, {}
 
-    def recurse(chosen: int, covered: int, size: int) -> None:
-        nonlocal best_mask, best_value, nodes
+    def recurse(chosen: int, covered: int, size: int, banned: int) -> None:
+        nonlocal best_mask, best_value, nodes, forced_picks
+        nonlocal dead, incumbent, packing, counting
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             raise ResourceExhausted(f"node limit {node_limit} exceeded")
@@ -173,7 +194,11 @@ def _bnb_min_cover(
             if time.perf_counter() > deadline:
                 raise ResourceExhausted("time limit exceeded")
 
-        # propagate forced choices: an uncovered vertex with one candidate
+        # one scan of the uncovered vertices over their live candidates
+        # (neither chosen nor banned): a vertex with none is dead, one with
+        # a single candidate forces it, and the rest give the branching
+        # vertex and a packing of disjoint candidate sets
+        live = full & ~(chosen | banned)
         while True:
             if covered == full:
                 if size < best_value:
@@ -181,55 +206,76 @@ def _bnb_min_cover(
                     best_mask = chosen
                 return
             if size + 1 >= best_value:
+                incumbent += 1
                 return
             unc = full & ~covered
             forced = -1
+            fewest = n + 1
+            used = packed = 0
             m = unc
             while m:
                 low = m & -m
                 v = low.bit_length() - 1
                 m ^= low
-                cands = cover[v] & ~chosen
+                cands = cover[v] & live
                 if cands == 0:
-                    return  # v can never be covered on this branch
+                    dead += 1
+                    return
                 if cands & (cands - 1) == 0:
                     forced = cands.bit_length() - 1
                     break
+                if not cands & used:
+                    used |= cands
+                    packed += 1
+                k = cands.bit_count()
+                if k < fewest:
+                    fewest = k
+                    branch = cands
             if forced < 0:
                 break
+            forced_picks += 1
             chosen |= 1 << forced
+            live ^= 1 << forced
             covered |= cover[forced]
             size += 1
-
-        unc = full & ~covered
-        max_gain = 0
-        m = full & ~chosen
-        while m:
-            low = m & -m
-            gain = (cover[low.bit_length() - 1] & unc).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-            m ^= low
-        if max_gain == 0:
-            return
-        if size + -(-unc.bit_count() // max_gain) >= best_value:
+        if size + packed >= best_value:
+            packing += 1
             return
 
-        v = (unc & -unc).bit_length() - 1
-        cands = cover[v] & ~chosen
         order = []
-        m = cands
+        max_gain = 0
+        m = live
         while m:
             low = m & -m
             u = low.bit_length() - 1
-            order.append(((cover[u] & unc).bit_count(), u))
             m ^= low
-        order.sort(key=lambda item: (-item[0], item[1]))
-        for _, u in order:
-            recurse(chosen | (1 << u), covered | cover[u], size + 1)
+            gain = (cover[u] & unc).bit_count()
+            if gain > max_gain:
+                max_gain = gain
+            if branch >> u & 1:
+                order.append((-gain, u))
+        if size + -(-unc.bit_count() // max_gain) >= best_value:
+            counting += 1
+            return
 
-    recurse(0, 0, 0)
-    return best_value, best_mask, nodes
+        # every cover holding u was searched in u's branch, so the later
+        # siblings leave u out
+        order.sort()
+        for _, u in order:
+            if size + 1 >= best_value:
+                break
+            recurse(chosen | (1 << u), covered | cover[u], size + 1, banned)
+            banned |= 1 << u
+
+    recurse(0, 0, 0, 0)
+    return best_value, best_mask, {
+        "branch_nodes": nodes,
+        "forced_picks": forced_picks,
+        "prunes_dead": dead,
+        "prunes_incumbent": incumbent,
+        "prunes_packing": packing,
+        "prunes_counting": counting,
+    }
 
 
 def _solve_min_cover(
@@ -252,13 +298,10 @@ def _solve_min_cover(
             elapsed_seconds=time.perf_counter() - t0,
         )
     else:
-        value, mask, nodes = _bnb_min_cover(
+        value, mask, counters = _bnb_min_cover(
             cover, n, greedy_seed, lower_bound, config.node_limit, deadline
         )
-        stats = SolverStats(
-            branch_nodes=nodes,
-            elapsed_seconds=time.perf_counter() - t0,
-        )
+        stats = SolverStats(**counters, elapsed_seconds=time.perf_counter() - t0)
     return value, mask, stats
 
 

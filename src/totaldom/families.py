@@ -8,10 +8,11 @@ runs and across ports. The canonical string form ("cycle:n=8",
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainTooLarge, InvalidFamily
@@ -166,8 +167,9 @@ def parse_family_range(text: str) -> list[FamilySpec]:
 
     Ranges expand as a cartesian product in canonical parameter order with
     the last parameter varying fastest. Combinations that violate the
-    family's constraints are skipped. Raises DomainTooLarge as soon as more
-    than SWEEP_BUDGET specs are valid, before the rest is expanded.
+    family's constraints are skipped. Raises DomainTooLarge, before any spec
+    is built, when there are more than SWEEP_BUDGET combinations, valid or
+    not.
     """
     kind, raw = _parse_kind_params(text)
     axes: dict[str, Sequence] = {}
@@ -184,26 +186,17 @@ def parse_family_range(text: str) -> list[FamilySpec]:
     if missing:
         raise InvalidFamily(f"{kind.value}: parameter(s) {', '.join(missing)} missing")
     names = _PARAMS[kind]
+    if math.prod(len(axes[name]) for name in names) > SWEEP_BUDGET:
+        raise DomainTooLarge(
+            f"family range {text!r} expands past the sweep budget of "
+            f"{SWEEP_BUDGET} instances"
+        )
     specs: list[FamilySpec] = []
-
-    def expand(i: int, chosen: dict):
-        if i == len(names):
-            try:
-                spec = FamilySpec(kind=kind, **chosen)
-            except InvalidFamily:
-                return
-            specs.append(spec)
-            if len(specs) > SWEEP_BUDGET:
-                raise DomainTooLarge(
-                    f"family range {text!r} expands past the sweep budget of "
-                    f"{SWEEP_BUDGET} instances"
-                )
-            return
-        for value in axes[names[i]]:
-            chosen[names[i]] = value
-            expand(i + 1, chosen)
-
-    expand(0, {})
+    for values in product(*(axes[name] for name in names)):
+        try:
+            specs.append(FamilySpec(kind=kind, **dict(zip(names, values))))
+        except InvalidFamily:
+            pass
     return specs
 
 

@@ -214,9 +214,15 @@ def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:
 
 
 def diameter_masks(adj: Sequence[int], n: int) -> float:
-    if not is_connected_masks(adj, n):
+    return _diameter_from(adj, n, bfs_layers(adj, 0))
+
+
+def _diameter_from(adj: Sequence[int], n: int, first: list[int]) -> float:
+    """Diameter, given ``first = bfs_layers(adj, 0)``, which also decides
+    connectivity."""
+    if sum(first) != (1 << n) - 1:
         return INFINITE
-    return max(len(bfs_layers(adj, s)) for s in range(n)) - 1
+    return max([len(first)] + [len(bfs_layers(adj, s)) for s in range(1, n)]) - 1
 
 
 def girth_masks(adj: Sequence[int], n: int) -> float:
@@ -265,12 +271,13 @@ def profile(g: Graph) -> StructuralProfile:
     bipartition = None
     if coloring is not None:
         bipartition = (VertexSet(n, coloring[0]), VertexSet(n, coloring[1]))
+    first = bfs_layers(adj, 0)
     return StructuralProfile(
         max_degree=max(degs),
         min_degree=min(degs),
-        diameter=diameter_masks(adj, n),
+        diameter=_diameter_from(adj, n, first),
         girth=girth_masks(adj, n),
-        is_connected=is_connected_masks(adj, n),
+        is_connected=sum(first) == g.full_mask,
         isolated=VertexSet(n, g.isolated_mask()),
         bipartition=bipartition,
     )

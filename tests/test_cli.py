@@ -41,6 +41,11 @@ class TestCompute:
         assert set(payload["stats"]["gamma_t"]) == {
             "subsets_examined",
             "branch_nodes",
+            "forced_picks",
+            "prunes_dead",
+            "prunes_incumbent",
+            "prunes_packing",
+            "prunes_counting",
             "elapsed_ms",
         }
 

@@ -142,6 +142,24 @@ class TestGammaT:
         assert res.stats.subsets_examined == 0
         assert res.stats.elapsed_seconds >= 0
 
+    def test_bnb_counters(self):
+        # the greedy seed of C_10 has gamma_t = 6 vertices, above the counting
+        # bound 5, so a search runs to prove it; on a cycle, a chosen or
+        # banned vertex leaves a neighbour with one live candidate, forced
+        res = gamma_t(family("cycle:n=10"), BNB)
+        assert res.stats.branch_nodes > 0
+        assert res.stats.forced_picks > 0
+        assert res.stats.prunes_packing > 0
+        res = gamma_t(family("cycle:n=10"), EXHAUSTIVE)
+        assert (
+            res.stats.branch_nodes,
+            res.stats.forced_picks,
+            res.stats.prunes_dead,
+            res.stats.prunes_incumbent,
+            res.stats.prunes_packing,
+            res.stats.prunes_counting,
+        ) == (0, 0, 0, 0, 0, 0)
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -266,9 +284,32 @@ class TestPruningSoundness:
                 seed=0xACCE55 + i,
             )
             g = generate(spec)
+            assert gamma(g).value == gamma(g, EXHAUSTIVE).value, str(spec)
             if g.isolated_mask():
                 continue
             assert gamma_t(g).value == gamma_t(g, EXHAUSTIVE).value, str(spec)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bnb_matches_exhaustive_on_every_graph_up_to_6(self, n):
+        for _, edges in edge_mask_graphs(n):
+            g = Graph(n, edges)
+            for solve, valid in ((gamma, is_dominating), (gamma_t, is_total_dominating)):
+                want = solve(g, EXHAUSTIVE)
+                got = solve(g, BNB)
+                if want is None:
+                    assert got is None, edges
+                    continue
+                assert got.value == want.value, (solve.__name__, edges)
+                assert valid(g, got.witness), (solve.__name__, edges)
+                assert len(got.witness) == got.value, (solve.__name__, edges)
+
+    def test_sparse_envelope_within_node_limit(self):
+        # random:n=64,p=0.1 was the slowest class at the envelope; values
+        # computed without a limit
+        cfg = SolverConfig(node_limit=100_000)
+        graphs = [family(f"random:n=64,p=0.1,seed={s}") for s in range(5)]
+        assert [gamma(g, cfg).value for g in graphs] == [11, 11, 10, 11, 11]
+        assert [gamma_t(g, cfg).value for g in graphs] == [11, 11, 11, 13, 11]
 
 
 class TestLimits:

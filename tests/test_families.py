@@ -274,3 +274,17 @@ class TestRanges:
         with pytest.raises(DomainTooLarge, match="budget"):
             parse_family_range("random:n=2..16,p=0.3,seed=1..20000")
         assert len(built) <= SWEEP_BUDGET + 1
+
+    def test_budget_counts_invalid_combinations(self, monkeypatch):
+        # d = 10^6 makes every one of the 10^6 combinations invalid
+        built = []
+
+        class CountingSpec(FamilySpec):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(families, "FamilySpec", CountingSpec)
+        with pytest.raises(DomainTooLarge, match="budget"):
+            parse_family_range("circular:d=1000000,n=1..1000000")
+        assert len(built) <= SWEEP_BUDGET + 1
