@@ -57,7 +57,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolverStats:
     """Work done by one solve. The exhaustive strategy counts only subsets;
-    branch and bound counts nodes, forced picks and its prunes by reason."""
+    branch and bound counts nodes, forced picks, its prunes by reason and
+    the times it improved on its incumbent."""
 
     subsets_examined: int = 0
     branch_nodes: int = 0
@@ -66,6 +67,7 @@ class SolverStats:
     prunes_incumbent: int = 0
     prunes_packing: int = 0
     prunes_counting: int = 0
+    incumbent_updates: int = 0
     elapsed_seconds: float = 0.0
 
 
@@ -180,13 +182,13 @@ def _bnb_min_cover(
     full = (1 << n) - 1
     best_mask = seed_mask
     best_value = seed_mask.bit_count()
-    nodes = forced_picks = dead = incumbent = packing = counting = 0
+    nodes = forced_picks = dead = incumbent = packing = counting = updates = 0
     if best_value <= lower_bound:
         return best_value, best_mask, {}
 
     def recurse(chosen: int, covered: int, size: int, banned: int) -> None:
         nonlocal best_mask, best_value, nodes, forced_picks
-        nonlocal dead, incumbent, packing, counting
+        nonlocal dead, incumbent, packing, counting, updates
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             raise ResourceExhausted(f"node limit {node_limit} exceeded")
@@ -204,6 +206,7 @@ def _bnb_min_cover(
                 if size < best_value:
                     best_value = size
                     best_mask = chosen
+                    updates += 1
                 return
             if size + 1 >= best_value:
                 incumbent += 1
@@ -275,6 +278,7 @@ def _bnb_min_cover(
         "prunes_incumbent": incumbent,
         "prunes_packing": packing,
         "prunes_counting": counting,
+        "incumbent_updates": updates,
     }
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice, product
 from typing import Callable, Iterable, Sequence
 
 from .bounds import (
@@ -132,17 +132,37 @@ def _combos(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     )
 
 
-def _cover_value(cover, full, combos) -> int:
-    """Minimum number of cover sets whose union is full; same subset order
+def _cover_value(cover, full, combos, covered=0) -> int:
+    """Minimum number of cover sets whose union with the start mask
+    ``covered`` is full (0 when ``covered`` already is); same subset order
     as the exhaustive solver strategy."""
+    if covered == full:
+        return 0
     for group in combos:
         for c in group:
-            u = 0
+            u = covered
             for v in c:
                 u |= cover[v]
             if u == full:
                 return len(c)
     raise AssertionError("input not coverable")
+
+
+def _total_cover_value(adj, full, combos) -> int:
+    """gamma_t of a graph without isolated vertices, from its open
+    neighbourhoods ``adj``.
+
+    Support-vertex rule: the only neighbour of a degree-1 vertex is in every
+    total dominating set, so those supports are taken first and the subset
+    search covers what they leave. gamma does not use the rule: in K2 both
+    vertices are leaves, and forcing both is right for gamma_t(K2) = 2 but
+    wrong for gamma(K2) = 1."""
+    forced = covered = 0
+    for a in adj:
+        if not a & (a - 1):
+            forced |= a
+            covered |= adj[a.bit_length() - 1]
+    return forced.bit_count() + _cover_value(adj, full, combos, covered)
 
 
 def _diameter_is_2(adj, n, full) -> bool:
@@ -281,7 +301,7 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
         delta_max = max(deg)
         gt = -1
         if no_iso and need_gt_if_no_iso:
-            gt = _cover_value(adj, full, combos)
+            gt = _total_cover_value(adj, full, combos)
 
         if want_a and no_iso:
             checked["cockayne_upper"] += 1
@@ -323,7 +343,7 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
             if delta_max < n - 1 and no_iso and is_connected_masks(adj, n):
                 checked["connected_upper"] += 1
                 if gt == -1:
-                    gt = _cover_value(adj, full, combos)
+                    gt = _total_cover_value(adj, full, combos)
                 if gt > n - delta_max:
                     fail(
                         "connected_upper", {"gamma_t": gt, "bound": n - delta_max}
@@ -332,7 +352,7 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
             if no_iso and _diameter_is_2(adj, n, full):
                 checked["diam2_upper"] += 1
                 if gt == -1:
-                    gt = _cover_value(adj, full, combos)
+                    gt = _total_cover_value(adj, full, combos)
                 if gt > min(deg) + 1:
                     fail("diam2_upper", {"gamma_t": gt, "bound": min(deg) + 1})
         if want_gi:
@@ -341,7 +361,7 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
                 if girth is not None:
                     checked["girth_upper"] += 1
                     if gt == -1:
-                        gt = _cover_value(adj, full, combos)
+                        gt = _total_cover_value(adj, full, combos)
                     bound = n - (girth + 1) // 2 + 1
                     if gt > bound:
                         fail(
@@ -484,20 +504,15 @@ def _scan_tree_chunk(args) -> tuple[int, list[dict]]:
     combos = _combos(n)
     checked = 0
     cex = []
-    for index in range(lo, hi):
-        seq = []
-        x = index
-        for _ in range(n - 2):
-            x, digit = divmod(x, n)
-            seq.append(digit)
+    for seq in islice(product(range(n), repeat=n - 2), lo, hi):
         edges = prufer_decode(seq, n)
         adj = [0] * n
         for u, v in edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        delta_max = max(a.bit_count() for a in adj)
+        delta_max = max(map(int.bit_count, adj))
         star = delta_max == n - 1
-        gt = _cover_value(adj, full, combos)
+        gt = _total_cover_value(adj, full, combos)
         extremal = gt == n - delta_max + 1
         checked += 1
         if extremal != star:

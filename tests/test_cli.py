@@ -46,6 +46,7 @@ class TestCompute:
             "prunes_incumbent",
             "prunes_packing",
             "prunes_counting",
+            "incumbent_updates",
             "elapsed_ms",
         }
 

@@ -37,6 +37,12 @@ def family(text):
     return generate(FamilySpec.parse(text))
 
 
+# a graph on which the greedy total dominating set is not minimum
+FORCED_PICK_EDGES = [
+    (0, 2), (0, 7), (1, 3), (1, 7), (2, 3), (2, 4), (4, 5), (4, 8), (5, 9), (6, 9),
+]
+
+
 class TestPredicates:
     def test_star_center_dominates(self):
         g = family("star:t=4")
@@ -158,7 +164,18 @@ class TestGammaT:
             res.stats.prunes_incumbent,
             res.stats.prunes_packing,
             res.stats.prunes_counting,
-        ) == (0, 0, 0, 0, 0, 0)
+            res.stats.incumbent_updates,
+        ) == (0, 0, 0, 0, 0, 0, 0)
+
+    def test_incumbent_updates(self):
+        # the greedy seed of this graph has 6 vertices and gamma_t is 5, so the
+        # search improves on it; on C_10 the seed is already optimal
+        g = Graph(10, FORCED_PICK_EDGES)
+        assert len(greedy_total_dominating(g)) == 6
+        res = gamma_t(g, BNB)
+        assert res.value == 5
+        assert res.stats.incumbent_updates >= 1
+        assert gamma_t(family("cycle:n=10"), BNB).stats.incumbent_updates == 0
 
 
 class TestOracleAgreement:
@@ -302,6 +319,17 @@ class TestPruningSoundness:
                 assert got.value == want.value, (solve.__name__, edges)
                 assert valid(g, got.witness), (solve.__name__, edges)
                 assert len(got.witness) == got.value, (solve.__name__, edges)
+
+    def test_forced_pick_is_the_live_candidate(self):
+        # on these graphs, forcing a banned candidate of a vertex instead of
+        # its one live candidate skips the only subtree holding an optimum
+        g = Graph(10, FORCED_PICK_EDGES)
+        assert gamma_t(g).value == gamma_t(g, EXHAUSTIVE).value == 5
+        h = Graph(14, [
+            (0, 4), (1, 13), (2, 3), (5, 9), (5, 12), (7, 10), (7, 12),
+            (8, 9), (8, 11), (10, 11), (10, 13),
+        ])
+        assert gamma(h).value == gamma(h, EXHAUSTIVE).value == 6
 
     def test_sparse_envelope_within_node_limit(self):
         # random:n=64,p=0.1 was the slowest class at the envelope; values

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,8 @@ from totaldom import (
     DomainTooLarge,
     FamilySpec,
     Graph,
+    SolverConfig,
+    Strategy,
     TheoremId,
     VerificationReport,
     gamma,
@@ -21,16 +24,20 @@ from totaldom import (
     verify,
 )
 from totaldom.bounds import path_cycle_formula
+from totaldom.families import prufer_decode
 from totaldom.verify import (
     SWEEP_COLUMNS,
     _combos,
     _cover_value,
     _diameter_is_2,
     _girth_if_at_least_5,
+    _total_cover_value,
     random_graph_specs,
 )
 
 from conftest import edge_mask_graphs
+
+EXHAUSTIVE = SolverConfig(strategy=Strategy.EXHAUSTIVE)
 
 # the package re-exports the function verify under the module's name
 verify_mod = importlib.import_module("totaldom.verify")
@@ -66,6 +73,36 @@ class TestScanAgreesWithSolvers:
                 assert _cover_value(list(g.adj_masks), full, combos) == res.value
                 closed = [a | (1 << v) for v, a in enumerate(g.adj_masks)]
                 assert _cover_value(closed, full, combos) == gamma(g).value
+
+    # the exhaustive strategy forces nothing, so it checks the support-vertex
+    # rule of the scan's gamma_t cover
+    def test_total_cover_value_on_every_graph_up_to_6(self):
+        for n in range(2, 7):
+            combos = _combos(n)
+            full = (1 << n) - 1
+            for _, edges in edge_mask_graphs(n):
+                g = Graph(n, edges)
+                if g.isolated_mask():
+                    continue
+                assert _total_cover_value(g.adj_masks, full, combos) == (
+                    gamma_t(g, EXHAUSTIVE).value
+                ), edges
+
+    def test_total_cover_value_on_every_tree_up_to_7(self):
+        for n in range(2, 8):
+            combos = _combos(n)
+            full = (1 << n) - 1
+            for seq in product(range(n), repeat=n - 2):
+                g = Graph(n, prufer_decode(seq, n))
+                assert _total_cover_value(g.adj_masks, full, combos) == (
+                    gamma_t(g, EXHAUSTIVE).value
+                ), seq
+
+    def test_cover_value_of_a_covered_start_is_0(self):
+        for n in range(1, 6):
+            full = (1 << n) - 1
+            cover = [1 << v for v in range(n)]
+            assert _cover_value(cover, full, _combos(n), covered=full) == 0
 
 
 class TestScanGates:
