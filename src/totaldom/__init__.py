@@ -41,6 +41,7 @@ from .families import (
     SplitMix64,
     enumerate_labeled_graphs,
     generate,
+    isomorphism_classes,
     parse_family_range,
     prufer_decode,
 )

@@ -105,36 +105,36 @@ def path_cycle_formula(kind: str, n: int) -> int:
 
 @dataclass(frozen=True)
 class CircularValue:
-    """Total domination number of a circular complete graph, when known.
-
-    ``value`` is None where no closed form is claimed (2d <= n < 3d with
-    d >= 3); a witness set accompanies the two- and three-vertex cases.
-    """
+    """Total domination number of a circular complete graph, with a
+    minimum total dominating set as witness."""
 
     n: int
     d: int
-    value: int | None
-    witness: VertexSet | None
+    value: int
+    witness: VertexSet
 
 
 def circular_gamma_t(n: int, d: int) -> CircularValue:
-    """Case split for the circular complete graph on (n, d).
+    """gamma_t of the circular complete graph on (n, d): ceil(n / Delta)
+    with Delta = n - 2d + 1, for every n >= 2d.
 
-    For d >= 3: 2 with witness {0, 2d-1} when n >= 4d-2, and 3 with witness
-    {0, d, 2d-1} when 3d <= n <= 4d-3. d=1 is the complete graph (value 2);
-    d=2 delegates to the cycle closed form and emits no witness.
+    N(i) is the cyclic interval i+d .. i+n-d, of length Delta, so the graph
+    is Delta-regular and gamma_t >= ceil(n / Delta). The k = ceil(n / Delta)
+    vertices (j Delta - d) mod n, j < k, have neighbourhoods that tile Z_n,
+    so k is reached. The witness is {0, 2d-1} when k = 2, {0, d, 2d-1} when
+    k = 3 and n >= 3d, and that tiling set otherwise.
     """
     if d < 1 or n < 2 * d:
         raise InvalidFamily(f"requires d >= 1 and n >= 2d, got n={n}, d={d}")
-    if d == 1:
-        return CircularValue(n, d, 2, VertexSet.from_members(n, [0, 1]))
-    if d == 2:
-        return CircularValue(n, d, path_cycle_formula("cycle", n), None)
-    if n >= 4 * d - 2:
-        return CircularValue(n, d, 2, VertexSet.from_members(n, [0, 2 * d - 1]))
-    if n >= 3 * d:
-        return CircularValue(n, d, 3, VertexSet.from_members(n, [0, d, 2 * d - 1]))
-    return CircularValue(n, d, None, None)
+    delta = n - 2 * d + 1
+    k = -(-n // delta)
+    if k == 2:
+        members = [0, 2 * d - 1]
+    elif k == 3 and n >= 3 * d:
+        members = [0, d, 2 * d - 1]
+    else:
+        members = [(j * delta - d) % n for j in range(k)]
+    return CircularValue(n, d, k, VertexSet.from_members(n, members))
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="family sweep table")
     p.add_argument("--family", required=True, help="spec with a..b ranges")
     p.add_argument("--seed", type=int, help="override the family's seed")
+    add_solver(p)
     p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--config", help="key=value file mirroring the flags")
@@ -311,14 +312,14 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         print(
             json.dumps(
-                [r.to_json_dict(include_elapsed=args.stats) for r in reports],
+                [r.to_json_dict(include_stats=args.stats) for r in reports],
                 indent=2,
             )
         )
     else:
         for r in reports:
-            elapsed = f" elapsed_ms={int(r.elapsed_seconds * 1000)}" if args.stats else ""
-            print(f"{r.verdict} {r.theorem.value} checked={r.instances_checked}{elapsed}")
+            stats = "".join(f" {k}={v}" for k, v in r.stats().items()) if args.stats else ""
+            print(f"{r.verdict} {r.theorem.value} checked={r.instances_checked}{stats}")
             for cex in r.counterexamples:
                 print(f"  counterexample: {json.dumps(cex, sort_keys=True)}")
     return 0 if all(r.verdict == "PASS" for r in reports) else 1
@@ -328,7 +329,7 @@ def _cmd_sweep(args) -> int:
     specs = [
         _spec_with_seed(s, args.seed) for s in parse_family_range(args.family)
     ]
-    rows = sweep(specs, jobs=args.jobs)
+    rows = sweep(specs, jobs=args.jobs, config=_solver_config(args))
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:

@@ -1,4 +1,5 @@
-"""Deterministic graph family generators and small-graph enumeration.
+"""Deterministic graph family generators and small-graph enumeration:
+labeled, and one graph per isomorphism class with its number of labelings.
 
 Every random family is a pure function of its seed: draws come from a
 splitmix64 stream, so identical specs reproduce bit-identical graphs across
@@ -12,7 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainTooLarge, InvalidFamily
@@ -368,6 +370,129 @@ GRAPH_FILTERS: dict[str, Callable[[list[int], int], bool]] = {
     "bipartite": _filter_bipartite,
     "no-isolated": _filter_no_isolated,
 }
+
+
+def _neighbour_lists(adj: Sequence[int]) -> list[list[int]]:
+    return [[u for u in range(len(adj)) if a >> u & 1] for a in adj]
+
+
+def _relabel(nbrs: list[list[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency masks of the graph with neighbour lists ``nbrs``, relabelled
+    so that new vertex i is old vertex ``order[i]``."""
+    new_bit = [0] * len(order)
+    for i, v in enumerate(order):
+        new_bit[v] = 1 << i
+    return tuple([sum([new_bit[u] for u in nbrs[v]]) for v in order])
+
+
+def _refined_cells(nbrs: list[list[int]]) -> list[list[int]]:
+    """The vertices grouped by colour refinement from the degrees, cells in
+    colour order. A colour is the rank of (own colour, sorted neighbour
+    colours) among the distinct such pairs, so cells and their order are
+    isomorphism invariants."""
+    n = len(nbrs)
+    colour = [len(members) for members in nbrs]
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v]))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        refined = [rank[s] for s in sig]
+        if len(rank) == len(set(colour)):
+            break
+        colour = refined
+    cells: list[list[int]] = [[] for _ in rank]
+    for v in range(n):
+        cells[refined[v]].append(v)
+    return cells
+
+
+def _cell_orders(cells: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Every vertex order that lists the cells in turn, each cell in any
+    order; generated lazily (``itertools.product`` would hold every
+    permutation of a cell at once: 5,040 for the leaves of an 8-vertex
+    star)."""
+    if not cells:
+        yield ()
+        return
+    for head in permutations(cells[0]):
+        for rest in _cell_orders(cells[1:]):
+            yield head + rest
+
+
+def _canonical_form(adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The canonical adjacency of the graph and the order of its
+    automorphism group.
+
+    The form is the least relabelling over the vertex orders that list the
+    refined cells in turn. Isomorphic graphs have the same set of such
+    relabellings, so the same least one; an automorphism preserves the
+    cells, so the orders reaching the least form are one orbit of the
+    automorphism group, and their number is |Aut|.
+    """
+    nbrs = _neighbour_lists(adj)
+    best, hits = None, 0
+    for order in _cell_orders(_refined_cells(nbrs)):
+        form = _relabel(nbrs, order)
+        if best is None or form < best:
+            best, hits = form, 1
+        elif form == best:
+            hits += 1
+    return best, hits
+
+
+# vertex counts the class tables stop at: graphs as for labeled enumeration;
+# trees one further (the canonical form tries (n-1)! orders on a star)
+_CLASS_MAX_N = {False: ENUMERATION_MAX_N, True: ENUMERATION_MAX_N + 1}
+
+
+def isomorphism_classes(
+    n: int, trees: bool = False
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One ``(adjacency masks, n!/|Aut|)`` entry per isomorphism class of
+    graphs, or of trees, on n vertices. The weight is the number of labeled
+    graphs in the class.
+
+    Level n grows level n - 1 by augmentation: a new vertex joined to every
+    subset of the old ones, or for trees a new leaf, with duplicates decided
+    by ``_canonical_form`` (McKay, J. Algorithms 26, 1998). Each level checks
+    that its weights sum to 2^C(n,2), or to n^(n-2) for trees (Cayley), and
+    raises otherwise. Tables are built on first use and kept for the life of
+    the process.
+    """
+    if not 1 <= n <= _CLASS_MAX_N[trees]:
+        raise DomainTooLarge(
+            f"isomorphism classes of {'trees' if trees else 'graphs'} "
+            f"supported for 1 <= n <= {_CLASS_MAX_N[trees]}, got {n}"
+        )
+    return _class_table(n, bool(trees))
+
+
+@lru_cache(maxsize=None)
+def _class_table(n: int, trees: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
+    if n == 1:
+        return (((0,), 1),)
+    new = 1 << (n - 1)
+    found: dict[tuple[int, ...], int] = {}
+    for adj, _ in _class_table(n - 1, trees):
+        joins = [1 << v for v in range(n - 1)] if trees else range(new)
+        for s in joins:
+            grown = [a | new if s >> v & 1 else a for v, a in enumerate(adj)]
+            grown.append(s)
+            form, aut = _canonical_form(grown)
+            if form not in found:
+                found[form] = math.factorial(n) // aut
+    expected = n ** (n - 2) if trees else 1 << (n * (n - 1) // 2)
+    if sum(found.values()) != expected:
+        raise RuntimeError(
+            f"class weights on n={n} sum to {sum(found.values())}, expected {expected}"
+        )
+    return tuple(found.items())
+
+
+def labelings(adj: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every distinct labeling of the graph, as adjacency masks, in sorted
+    order: n!/|Aut| of them."""
+    nbrs = _neighbour_lists(adj)
+    return sorted({_relabel(nbrs, order) for order in permutations(range(len(adj)))})
 
 
 def enumerate_labeled_graphs(n: int, graph_filter: str = "all") -> Iterator[Graph]:

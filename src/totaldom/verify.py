@@ -4,6 +4,20 @@ Each verifiable claim gets an exhaustive or swept domain; the harness runs
 the exact solver over every instance and reports counterexamples (expected
 none). Reports are deterministic: fixed seeds, canonical counterexample
 order, and worker-count independence.
+
+The graph claims have two routes, by design:
+
+* the class route, which ``verify`` runs: each claim is invariant under
+  relabelling, so it is evaluated once per isomorphism class
+  (``families.isomorphism_classes``) through the public API (``profile``,
+  ``all_bounds``, ``gamma_t``, ``gamma``, ``recognize_star_plus_matching``)
+  and counted n!/|Aut| times; a failing class expands into every labeling;
+* the labeled scan, ``scan_bound_claims``: a Gray-code walk over every
+  labeled graph with its own fast gates, value-only covers and inline bound
+  formulas. It is the independent oracle the tests and the acceptance
+  criteria compare against. The bound formulas therefore sit in two places,
+  ``bounds.all_bounds`` and ``_scan_labeled_chunk``; that is the point of
+  the second route, not a duplicate to fold away.
 """
 
 from __future__ import annotations
@@ -15,9 +29,9 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, islice, product
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache, partial
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import (
     all_bounds,
@@ -25,14 +39,18 @@ from .bounds import (
     path_cycle_formula,
     recognize_star_plus_matching,
 )
-from .domination import gamma, gamma_t, is_total_dominating
-from .errors import DomainTooLarge, ToolkitError
+from .domination import SolverConfig, gamma, gamma_t, is_total_dominating
+from .errors import DomainTooLarge, ResourceExhausted, ToolkitError
+# prufer_decode is not called here: it stays importable from this module,
+# where perfbench's traced run wraps it and counts its calls
 from .families import (
     SWEEP_BUDGET,
     FamilyKind,
     FamilySpec,
     _format_fraction,
     generate,
+    isomorphism_classes,
+    labelings,
     prufer_decode,
     vertex_pairs,
 )
@@ -76,20 +94,33 @@ class VerificationReport:
     instances_checked: int
     counterexamples: list[dict]
     elapsed_seconds: float
+    # claims checked per isomorphism class: the classes passing the
+    # hypothesis, and the weighted instances at which the bound is attained
+    classes: int | None = None
+    tight: int | None = None
 
     @property
     def verdict(self) -> str:
         return "PASS" if not self.counterexamples else "FAIL"
 
-    def to_json_dict(self, include_elapsed: bool = False) -> dict:
+    def stats(self) -> dict:
+        """The fields ``--stats`` adds: elapsed milliseconds, and the class
+        and tightness counts where the claim has them."""
+        out = {"elapsed_ms": int(self.elapsed_seconds * 1000)}
+        if self.classes is not None:
+            out["classes"] = self.classes
+            out["tight"] = self.tight
+        return out
+
+    def to_json_dict(self, include_stats: bool = False) -> dict:
         out = {
             "theorem": self.theorem.value,
             "verdict": self.verdict,
             "instances": self.instances_checked,
             "counterexamples": self.counterexamples,
         }
-        if include_elapsed:
-            out["elapsed_ms"] = int(self.elapsed_seconds * 1000)
+        if include_stats:
+            out.update(self.stats())
         return out
 
 
@@ -409,71 +440,170 @@ def scan_bound_claims(
 
 
 # -- per-theorem arms -----------------------------------------------------------
+#
+# The class route: the scan claims and tree_star are invariant under
+# relabelling, so each is evaluated once per isomorphism class through the
+# public API and counted n!/|Aut| times (the class's labelings). The seeded
+# random graphs and trees go through the same evaluator with weight 1.
 
 
-# claims whose scan domain is extended by the seeded random graphs
+class _Tally(NamedTuple):
+    """One claim over one domain."""
+
+    instances: int  # weighted: labelings of the graphs passing the hypothesis
+    graphs: int  # graphs passing it: isomorphism classes on the class route
+    tight: int  # weighted instances at which the claim's bound is attained
+    counterexamples: tuple[dict, ...]  # sorted by _cex_sort_key
+
+
+def _graph(adj: Sequence[int]) -> Graph:
+    g = Graph.__new__(Graph)
+    g.n = len(adj)
+    g.adj_masks = tuple(adj)
+    return g
+
+
+def _evaluate(g: Graph, claims: Sequence[str]) -> dict[str, tuple[bool, dict | None]]:
+    """For each of ``claims`` whose hypothesis ``g`` meets: whether the bound
+    is attained, and the counterexample detail (None when the claim holds).
+
+    Gates, bounds and tightness come from ``profile`` and ``all_bounds``,
+    values from ``gamma_t`` and ``gamma``. The attained bound is the
+    Cockayne bound for bipartite_extremal and tree_star (the extremal
+    graphs) and gamma_t = 2 gamma for sandwich. tree_star assumes ``g`` is
+    a tree."""
+    prof = profile(g)
+    if prof.isolated:  # every claim's hypothesis excludes isolated vertices
+        return {}
+    reports = {r.bound: r for r in all_bounds(g, prof=prof)}
+    claims = [
+        c
+        for c in claims
+        if (
+            reports[c].applicable
+            if c in reports
+            else c != "bipartite_extremal" or prof.bipartition is not None
+        )
+    ]
+    if not claims:
+        return {}
+    try:
+        gt = gamma_t(g).value
+    except ToolkitError as exc:
+        return {c: (False, {"kind": "unverified", "error": str(exc)}) for c in claims}
+    reports = {r.bound: r for r in all_bounds(g, exact=gt, prof=prof)}
+    extremal = reports["cockayne_upper"].tight
+    out = {}
+    for claim in claims:
+        if claim in reports:
+            r = reports[claim]
+            holds = gt >= r.value if claim == "n_over_delta_lower" else gt <= r.value
+            detail = None
+            if not holds:
+                detail = {"gamma_t": gt}
+                if claim == "girth_upper":
+                    detail["girth"] = int(prof.girth)
+                detail["bound"] = r.value
+            out[claim] = (r.tight, detail)
+        elif claim == "sandwich":
+            gam = gamma(g).value
+            ok = gam <= gt <= 2 * gam
+            out[claim] = (gt == 2 * gam, None if ok else {"gamma": gam, "gamma_t": gt})
+        else:
+            if claim == "bipartite_extremal":
+                key, shape = "star_plus_matching", recognize_star_plus_matching(g) is not None
+            else:
+                key, shape = "star", prof.max_degree == g.n - 1
+            detail = {"gamma_t": gt, "extremal": extremal, key: shape}
+            out[claim] = (extremal, None if extremal == shape else detail)
+    return out
+
+
+def _tally(domain: Iterable, claims: Sequence[str]) -> dict[str, _Tally]:
+    """Evaluate ``claims`` on every ``(graph, weight, instances)`` of
+    ``domain``. A failing graph adds one record per instance that
+    ``instances()`` lists."""
+    acc = {c: [0, 0, 0, []] for c in claims}  # the fields of _Tally
+    for g, weight, instances in domain:
+        for claim, (tight, detail) in _evaluate(g, claims).items():
+            a = acc[claim]
+            a[0] += weight
+            a[1] += 1
+            a[2] += weight if tight else 0
+            if detail is not None:
+                a[3].extend(
+                    {"instance": inst, "detail": dict(detail)} for inst in instances()
+                )
+    return {
+        c: _Tally(a[0], a[1], a[2], tuple(sorted(a[3], key=_cex_sort_key)))
+        for c, a in acc.items()
+    }
+
+
+def _labeled_instances(adj: tuple[int, ...]) -> list[dict]:
+    n = len(adj)
+    return [{"n": n, "edges": _edge_list(a, n)} for a in labelings(adj)]
+
+
+def _class_domain(n_values: Iterable[int], trees: bool = False) -> Iterator:
+    """Every isomorphism class of graphs (or trees) on each n, weighted by
+    its labelings; a counterexample lists every labeling."""
+    for n in n_values:
+        for adj, weight in isomorphism_classes(n, trees):
+            yield _graph(adj), weight, partial(_labeled_instances, adj)
+
+
+def _spec_domain(specs: Iterable[FamilySpec]) -> Iterator:
+    for spec in specs:
+        yield generate(spec), 1, lambda name=str(spec): [{"family": name}]
+
+
+# claims whose class domain is extended by the seeded random graphs
 _RANDOM_GRAPH_CLAIMS = ("connected_upper", "diam2_upper", "girth_upper")
 
 
 @lru_cache(maxsize=1)
-def _random_graph_results(
-    specs: tuple[FamilySpec, ...],
-) -> dict[str, tuple[int, tuple[dict, ...]]]:
-    """Instances checked and counterexamples of each random-graph claim over
-    ``specs``. The public bound's gate and formula are evaluated on the
-    structural profile: a route independent of the scan's fast gates. One
-    pass generates, profiles and solves each graph once for all three arms,
-    and only the results are kept."""
-    counts = dict.fromkeys(_RANDOM_GRAPH_CLAIMS, 0)
-    cex: dict[str, list[dict]] = {claim: [] for claim in _RANDOM_GRAPH_CLAIMS}
-    for spec in specs:
-        g = generate(spec)
-        prof = profile(g)
-        reports = [
-            r for r in all_bounds(g, prof=prof) if r.bound in counts and r.applicable
-        ]
-        if not reports:
-            continue
-        try:
-            gt = gamma_t(g).value
-        except ToolkitError as exc:
-            gt, error = None, str(exc)
-        for report in reports:
-            counts[report.bound] += 1
-            if gt is None:
-                detail = {"kind": "unverified", "error": error}
-            elif gt <= report.value:
-                continue
-            else:
-                detail = {"gamma_t": gt}
-                if report.bound == "girth_upper":
-                    detail["girth"] = int(prof.girth)
-                detail["bound"] = report.value
-            record = {"instance": {"family": str(spec)}, "detail": detail}
-            cex[report.bound].append(record)
-    return {claim: (counts[claim], tuple(cex[claim])) for claim in counts}
+def _random_graph_results(specs: tuple[FamilySpec, ...]) -> dict[str, _Tally]:
+    """The random-graph claims over ``specs``. One pass generates, profiles
+    and solves each graph once for all three arms, and only the results are
+    kept."""
+    return _tally(_spec_domain(specs), _RANDOM_GRAPH_CLAIMS)
 
 
-def _verify_bound_arm(
-    theorem: TheoremId, scale: str, jobs: int
-) -> tuple[str, int, list[dict]]:
-    n_max = 6 if scale == "quick" else 7
+def _verify_class_arm(theorem: TheoremId, scale: str) -> tuple[str, _Tally]:
+    """Domain text and the claim's tally over the isomorphism classes plus
+    the seeded random instances; ``graphs`` counts the classes alone."""
     claim = theorem.value
-    merged = scan_bound_claims(range(1, n_max + 1), (claim,), jobs)
-    count, cex = merged[claim]
-    if theorem is TheoremId.BIPARTITE_EXTREMAL:
+    if theorem is TheoremId.TREE_STAR:
+        tally = _tally(_class_domain(range(2, 9), trees=True), (claim,))[claim]
+        extra = _tally(_spec_domain(random_tree_specs()), (claim,))[claim]
         domain = (
-            f"all labeled bipartite graphs without isolated vertices on n <= {n_max}, "
-            "both directions of the extremal characterization"
+            "all free trees on 2 <= n <= 8, each weighted by its labelings, "
+            "plus 200 seeded random trees on n <= 16"
         )
     else:
-        domain = f"all labeled graphs on n <= {n_max} passing the hypothesis"
-    if claim in _RANDOM_GRAPH_CLAIMS:
-        extra, extra_cex = _random_graph_results(tuple(random_graph_specs()))[claim]
-        count += extra
-        cex = sorted(cex + list(extra_cex), key=_cex_sort_key)
-        domain += ", plus 500 seeded random graphs on n <= 16"
-    return domain, count, cex
+        n_max = 6 if scale == "quick" else 7
+        tally = _tally(_class_domain(range(1, n_max + 1)), (claim,))[claim]
+        extra = None
+        if theorem is TheoremId.BIPARTITE_EXTREMAL:
+            domain = (
+                f"all bipartite graphs without isolated vertices on n <= {n_max}, "
+                "both directions of the extremal characterization"
+            )
+        else:
+            domain = f"all graphs on n <= {n_max} passing the hypothesis"
+        domain += ", one isomorphism class at a time, weighted by its labelings"
+        if claim in _RANDOM_GRAPH_CLAIMS:
+            extra = _random_graph_results(tuple(random_graph_specs()))[claim]
+            domain += ", plus 500 seeded random graphs on n <= 16"
+    if extra is not None:
+        tally = _Tally(
+            tally.instances + extra.instances,
+            tally.graphs,
+            tally.tight + extra.tight,
+            tuple(sorted(tally.counterexamples + extra.counterexamples, key=_cex_sort_key)),
+        )
+    return domain, tally
 
 
 def _verify_path_cycle(scale: str) -> tuple[str, int, list[dict]]:
@@ -498,70 +628,6 @@ def _verify_path_cycle(scale: str) -> tuple[str, int, list[dict]]:
     return f"paths and cycles, 3 <= n <= {n_max}, closed form vs exact solver", count, cex
 
 
-def _scan_tree_chunk(args) -> tuple[int, list[dict]]:
-    n, lo, hi = args
-    full = (1 << n) - 1
-    combos = _combos(n)
-    checked = 0
-    cex = []
-    for seq in islice(product(range(n), repeat=n - 2), lo, hi):
-        edges = prufer_decode(seq, n)
-        adj = [0] * n
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        delta_max = max(map(int.bit_count, adj))
-        star = delta_max == n - 1
-        gt = _total_cover_value(adj, full, combos)
-        extremal = gt == n - delta_max + 1
-        checked += 1
-        if extremal != star:
-            cex.append(
-                {
-                    "instance": {"n": n, "edges": _edge_list(adj, n)},
-                    "detail": {"gamma_t": gt, "extremal": extremal, "star": star},
-                }
-            )
-    return checked, cex
-
-
-_TREE_CHUNK = 1 << 15
-
-
-def _verify_tree_star(scale: str, jobs: int) -> tuple[str, int, list[dict]]:
-    chunks = []
-    for n in range(2, 9):
-        total = n ** (n - 2)
-        for lo in range(0, total, _TREE_CHUNK):
-            chunks.append((n, lo, min(lo + _TREE_CHUNK, total)))
-    results = _run_chunked(_scan_tree_chunk, chunks, jobs)
-    count = sum(r[0] for r in results)
-    cex = [record for r in results for record in r[1]]
-    for spec in random_tree_specs():
-        g = generate(spec)
-        res = gamma_t(g)
-        star = max(g.degrees()) == g.n - 1
-        extremal = res.value == g.n - max(g.degrees()) + 1
-        count += 1
-        if extremal != star:
-            cex.append(
-                {
-                    "instance": {"family": str(spec)},
-                    "detail": {
-                        "gamma_t": res.value,
-                        "extremal": extremal,
-                        "star": star,
-                    },
-                }
-            )
-    cex.sort(key=_cex_sort_key)
-    domain = (
-        "all labeled trees on 2 <= n <= 8 via exhaustive sequence decoding, "
-        "plus 200 seeded random trees on n <= 16"
-    )
-    return domain, count, cex
-
-
 def _verify_circular(theorem: TheoremId, scale: str) -> tuple[str, int, list[dict]]:
     d_max = 6 if scale == "quick" else 8
     n_cap = 36 if scale == "quick" else 48
@@ -581,7 +647,7 @@ def _verify_circular(theorem: TheoremId, scale: str) -> tuple[str, int, list[dic
             detail = {}
             if cv.value != expected:
                 detail["formula"] = cv.value
-            if cv.witness is None or not is_total_dominating(g, cv.witness):
+            if not is_total_dominating(g, cv.witness):
                 detail["witness_valid"] = False
             try:
                 solved = gamma_t(g).value
@@ -603,16 +669,18 @@ def _verify_circular(theorem: TheoremId, scale: str) -> tuple[str, int, list[dic
 
 
 def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> VerificationReport:
-    """Run one claim over its verification domain."""
+    """Run one claim over its verification domain. Every domain is
+    evaluated in-process, so ``jobs`` is accepted and not used."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     t0 = time.perf_counter()
-    if theorem.value in SCAN_CLAIMS:
-        domain, count, cex = _verify_bound_arm(theorem, scale, jobs)
+    classes = tight = None
+    if theorem.value in SCAN_CLAIMS or theorem is TheoremId.TREE_STAR:
+        domain, tally = _verify_class_arm(theorem, scale)
+        count, cex = tally.instances, list(tally.counterexamples)
+        classes, tight = tally.graphs, tally.tight
     elif theorem is TheoremId.PATH_CYCLE_FORMULA:
         domain, count, cex = _verify_path_cycle(scale)
-    elif theorem is TheoremId.TREE_STAR:
-        domain, count, cex = _verify_tree_star(scale, jobs)
     else:
         domain, count, cex = _verify_circular(theorem, scale)
     return VerificationReport(
@@ -621,6 +689,8 @@ def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> Verificat
         instances_checked=count,
         counterexamples=cex,
         elapsed_seconds=time.perf_counter() - t0,
+        classes=classes,
+        tight=tight,
     )
 
 
@@ -662,10 +732,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _sweep_row(spec: FamilySpec) -> dict[str, str]:
+# the cell of a solve that hit the configured node or time limit
+REFUSED = "refused"
+
+
+def _solve_cell(solver: Callable, g: Graph, config: SolverConfig | None) -> int | str | None:
+    """The solver's value (None where undefined), or REFUSED when the solve
+    hits a limit of ``config``."""
+    try:
+        res = solver(g, config)
+    except ResourceExhausted:
+        return REFUSED
+    return None if res is None else res.value
+
+
+def _sweep_row(spec: FamilySpec, config: SolverConfig | None = None) -> dict[str, str]:
     g = generate(spec)
-    res_t = gamma_t(g)
-    exact = res_t.value if res_t is not None else None
+    gt = _solve_cell(gamma_t, g, config)
+    exact = None if gt is REFUSED else gt
     row = {
         "family": spec.kind.value,
         "n": str(g.n),
@@ -674,8 +758,8 @@ def _sweep_row(spec: FamilySpec) -> dict[str, str]:
         "r": _fmt(spec.r),
         "p": "" if spec.p is None else _format_fraction(spec.p),
         "seed": _fmt(spec.seed),
-        "gamma": str(gamma(g).value),
-        "gamma_t": _fmt(exact),
+        "gamma": _fmt(_solve_cell(gamma, g, config)),
+        "gamma_t": _fmt(gt),
     }
     for report in all_bounds(g, exact=exact):
         row[report.bound] = _fmt(report.value)
@@ -685,13 +769,16 @@ def _sweep_row(spec: FamilySpec) -> dict[str, str]:
     return row
 
 
-def sweep(specs: Sequence[FamilySpec], jobs: int = 1) -> list[dict[str, str]]:
-    """One row per instance, in spec order; raises on budget overrun."""
+def sweep(
+    specs: Sequence[FamilySpec], jobs: int = 1, config: SolverConfig | None = None
+) -> list[dict[str, str]]:
+    """One row per instance, in spec order; raises on budget overrun. A
+    solve that hits a limit of ``config`` fills its cell with ``refused``."""
     if len(specs) > SWEEP_BUDGET:
         raise DomainTooLarge(
             f"sweep of {len(specs)} instances exceeds budget {SWEEP_BUDGET}"
         )
-    return _run_chunked(_sweep_row, list(specs), jobs)
+    return _run_chunked(partial(_sweep_row, config=config), list(specs), jobs)
 
 
 def sweep_csv(rows: Iterable[dict[str, str]]) -> str:

@@ -149,41 +149,49 @@ class TestCircularGammaT:
         cv = circular_gamma_t(9, 3)
         assert cv.value == 3 and list(cv.witness) == [0, 3, 5]
 
-    def test_unknown_regime(self):
+    def test_gap_regime(self):
+        # 2d <= n < 3d: n = 7, d = 3 has Delta = 2, so ceil(7/2) = 4, with
+        # the tiling witness (2j - 3) mod 7
         cv = circular_gamma_t(7, 3)
-        assert cv.value is None and cv.witness is None
-        assert gamma_t(family("circular:n=7,d=3")).value == 4
+        assert cv.value == 4 and list(cv.witness) == [1, 3, 4, 6]
+        g = family("circular:n=7,d=3")
+        assert gamma_t(g).value == 4 and is_total_dominating(g, cv.witness)
+        cv = circular_gamma_t(8, 3)  # n = 3d - 1: value 3, tiling witness
+        assert cv.value == 3 and list(cv.witness) == [0, 3, 5]
 
     def test_d1_complete(self):
         cv = circular_gamma_t(8, 1)
         assert cv.value == 2 and list(cv.witness) == [0, 1]
         assert is_total_dominating(family("circular:n=8,d=1"), cv.witness)
 
-    def test_d2_delegates_to_cycle_form(self):
-        cv = circular_gamma_t(12, 2)
-        assert cv.value == path_cycle_formula("cycle", 12) == 6
-        assert cv.witness is None
+    def test_d2_is_the_complement_of_the_cycle(self):
+        # K_{n/2} is the complement of C_n, not C_n: gamma_t is 4 on n = 4
+        # (a perfect matching), 3 on n = 5 (C_5 again) and 2 from n = 6 on
+        for n, value in ((4, 4), (5, 3), (6, 2), (12, 2)):
+            cv = circular_gamma_t(n, 2)
+            g = family(f"circular:n={n},d=2")
+            assert cv.value == value == gamma_t(g).value, n
+            assert is_total_dominating(g, cv.witness)
+        assert list(circular_gamma_t(12, 2).witness) == [0, 3]
 
     def test_invalid(self):
         with pytest.raises(InvalidFamily):
             circular_gamma_t(5, 3)
 
     def test_witness_validity_grid(self):
-        for d in range(3, 11):
+        for d in range(1, 11):
             for n in range(2 * d, 6 * d + 1):
                 cv = circular_gamma_t(n, d)
-                if cv.witness is None:
-                    continue
                 g = generate(FamilySpec(kind=FamilyKind.CIRCULAR_COMPLETE, n=n, d=d))
+                assert len(cv.witness) == cv.value, (n, d)
                 assert is_total_dominating(g, cv.witness), (n, d)
 
     def test_formula_never_contradicts_solver(self):
-        # exact cross-check over the d in 3..6, n <= 36 grid
-        for d in range(3, 7):
+        # exact cross-check over d in 1..6, every n from 2d (the 2d <= n < 3d
+        # gap included) to 36
+        for d in range(1, 7):
             for n in range(2 * d, 37):
                 cv = circular_gamma_t(n, d)
-                if cv.value is None:
-                    continue
                 g = generate(FamilySpec(kind=FamilyKind.CIRCULAR_COMPLETE, n=n, d=d))
                 assert gamma_t(g).value == cv.value, (n, d)
 

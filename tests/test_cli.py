@@ -214,6 +214,20 @@ class TestVerifyCommand:
         )
         assert "elapsed_ms" in json.loads(out)[0]
 
+    def test_stats_adds_classes_and_tightness(self, capsys):
+        # C5 and C6 are the classes with girth >= 5 on n <= 6: 12 + 60
+        # labelings, at each of which the girth bound is attained
+        code, out, _ = run(
+            capsys, "verify", "--theorem", "girth_upper", "--format", "json", "--stats"
+        )
+        report = json.loads(out)[0]
+        assert code == 0 and report["classes"] == 2
+        assert report["instances"] == report["tight"] == 72
+        code, out, _ = run(capsys, "verify", "--theorem", "tree_star", "--stats")
+        assert " classes=47 tight=" in out
+        code, out, _ = run(capsys, "verify", "--theorem", "circular_three", "--stats")
+        assert "classes=" not in out and "elapsed_ms=" in out
+
     def test_counterexample_exits_1(self, capsys, monkeypatch):
         # the implemented claims all hold, so fabricate a failing report to
         # exercise the counterexample path end to end
@@ -252,6 +266,19 @@ class TestSweepCommand:
         )
         rows = json.loads(out)
         assert [r["n"] for r in rows] == ["4", "5"]
+
+    def test_node_limit_marks_refused_cells(self, capsys):
+        # both solves of this n=64 graph need thousands of branch nodes
+        code, out, _ = run(
+            capsys, "sweep", "--family", "random:n=63..64,p=0.1,seed=0",
+            "--node-limit", "50",
+        )
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert len(rows) == 2
+        cells = {h: v for h, v in zip(header, rows[1])}
+        assert cells["gamma"] == cells["gamma_t"] == "refused"
+        assert cells["cockayne_upper"] != "" and cells["cockayne_upper_tight"] == ""
 
     def test_budget_exceeded(self, capsys):
         code, _, err = run(

@@ -24,13 +24,17 @@ from totaldom import (
     verify,
 )
 from totaldom.bounds import path_cycle_formula
-from totaldom.families import prufer_decode
+from totaldom.families import isomorphism_classes, labelings, prufer_decode
 from totaldom.verify import (
+    SCAN_CLAIMS,
     SWEEP_COLUMNS,
+    _cex_sort_key,
+    _class_domain,
     _combos,
     _cover_value,
     _diameter_is_2,
     _girth_if_at_least_5,
+    _tally,
     _total_cover_value,
     random_graph_specs,
 )
@@ -103,6 +107,111 @@ class TestScanAgreesWithSolvers:
             full = (1 << n) - 1
             cover = [1 << v for v in range(n)]
             assert _cover_value(cover, full, _combos(n), covered=full) == 0
+
+
+def _shift_gamma_t(monkeypatch, shift):
+    """Make both routes see gamma_t + shift: the scan's value-only cover and
+    the public solver as the class route calls it."""
+    real_cover, real_gamma_t = verify_mod._total_cover_value, verify_mod.gamma_t
+
+    def cover(adj, full, combos):
+        return real_cover(adj, full, combos) + shift
+
+    def solver(g, config=None):
+        res = real_gamma_t(g, config)
+        return None if res is None else dataclasses.replace(res, value=res.value + shift)
+
+    monkeypatch.setattr(verify_mod, "_total_cover_value", cover)
+    monkeypatch.setattr(verify_mod, "gamma_t", solver)
+
+
+class TestIsomorphismClasses:
+    def test_graph_class_counts(self):
+        # OEIS A000088
+        counts = [len(isomorphism_classes(n)) for n in range(1, 8)]
+        assert counts == [1, 2, 4, 11, 34, 156, 1044]
+
+    def test_tree_class_counts(self):
+        # OEIS A000055, n = 2..8
+        counts = [len(isomorphism_classes(n, trees=True)) for n in range(2, 9)]
+        assert counts == [1, 1, 2, 3, 6, 11, 23]
+
+    def test_weights_count_the_labelings(self):
+        for n in range(1, 8):
+            assert sum(w for _, w in isomorphism_classes(n)) == 2 ** (n * (n - 1) // 2)
+        for n in range(2, 9):
+            assert sum(w for _, w in isomorphism_classes(n, trees=True)) == n ** (n - 2)
+
+    def test_labelings_partition_every_labeled_graph_up_to_5(self):
+        for n in range(1, 6):
+            seen = []
+            for adj, weight in isomorphism_classes(n):
+                labeled = labelings(adj)
+                assert len(labeled) == weight
+                seen.extend(labeled)
+            expected = [Graph(n, edges).adj_masks for _, edges in edge_mask_graphs(n)]
+            assert sorted(seen) == sorted(expected)
+
+    def test_tree_labelings_are_the_pruefer_trees_up_to_7(self):
+        for n in range(2, 8):
+            seen = [lab for adj, _ in isomorphism_classes(n, trees=True) for lab in labelings(adj)]
+            expected = {
+                Graph(n, prufer_decode(seq, n)).adj_masks
+                for seq in product(range(n), repeat=n - 2)
+            }
+            assert len(seen) == len(expected) and set(seen) == expected
+
+    @pytest.mark.parametrize("n, trees", [(0, False), (8, False), (0, True), (9, True)])
+    def test_outside_the_tables(self, n, trees):
+        with pytest.raises(DomainTooLarge):
+            isomorphism_classes(n, trees)
+
+
+class TestClassRouteAgreesWithScan:
+    # the class route against the labeled scan, claim by claim, in count and
+    # the full sorted counterexample list; shifting gamma_t in both routes
+    # makes every claim fail somewhere, so the expansion of a failing class
+    # into its labelings is checked on real failures
+    @pytest.mark.parametrize(
+        "shift, failing",
+        [
+            (0, set()),
+            (1, set(SCAN_CLAIMS) - {"n_over_delta_lower"}),
+            (-1, {"n_over_delta_lower", "sandwich", "bipartite_extremal"}),
+        ],
+    )
+    def test_every_scan_claim_up_to_5(self, monkeypatch, shift, failing):
+        _shift_gamma_t(monkeypatch, shift)
+        scan = scan_bound_claims(range(1, 6), SCAN_CLAIMS, jobs=1)
+        classes = _tally(_class_domain(range(1, 6)), SCAN_CLAIMS)
+        for claim in SCAN_CLAIMS:
+            tally = classes[claim]
+            assert (tally.instances, list(tally.counterexamples)) == scan[claim], claim
+        assert {c for c in SCAN_CLAIMS if scan[c][1]} == failing
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_tree_star_against_a_labeled_pruefer_walk_up_to_7(self, monkeypatch, shift):
+        _shift_gamma_t(monkeypatch, shift)
+        count, cex = 0, []
+        for n in range(2, 8):
+            for seq in product(range(n), repeat=n - 2):
+                g = Graph(n, prufer_decode(seq, n))
+                gt = verify_mod.gamma_t(g).value
+                delta = max(g.degrees())
+                extremal, star = gt == n - delta + 1, delta == n - 1
+                count += 1
+                if extremal != star:
+                    edges = [list(e) for e in g.edges()]
+                    cex.append(
+                        {
+                            "instance": {"n": n, "edges": edges},
+                            "detail": {"gamma_t": gt, "extremal": extremal, "star": star},
+                        }
+                    )
+        tally = _tally(_class_domain(range(2, 8), trees=True), ("tree_star",))["tree_star"]
+        assert tally.instances == count
+        assert list(tally.counterexamples) == sorted(cex, key=_cex_sort_key)
+        assert bool(cex) == bool(shift)
 
 
 class TestScanGates:
@@ -191,7 +300,7 @@ class TestVerifyArms:
         payload = r.to_json_dict()
         assert set(payload) == {"theorem", "verdict", "instances", "counterexamples"}
         assert payload["verdict"] == "PASS"
-        with_elapsed = r.to_json_dict(include_elapsed=True)
+        with_elapsed = r.to_json_dict(include_stats=True)
         assert "elapsed_ms" in with_elapsed
         json.dumps(with_elapsed)
 
@@ -226,10 +335,11 @@ class TestVerifyArms:
             verify_mod, "random_graph_specs", lambda: [FamilySpec.parse("cycle:n=5")]
         )
         r = verify(theorem, "quick")
-        assert r.counterexamples == [
-            {"instance": {"family": "cycle:n=5"}, "detail": detail}
-        ]
-        assert list(r.counterexamples[0]["detail"]) == list(detail)
+        # the class route reads the same lowered bounds and fails too; the
+        # random-graph records are the ones naming a family
+        random_cex = [c for c in r.counterexamples if "family" in c["instance"]]
+        assert random_cex == [{"instance": {"family": "cycle:n=5"}, "detail": detail}]
+        assert list(random_cex[0]["detail"]) == list(detail)
 
     def test_verdict_fail_on_counterexamples(self):
         r = VerificationReport(
