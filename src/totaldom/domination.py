@@ -18,7 +18,15 @@ when the open neighborhoods do. The two strategies are
   set of uncovered vertices with pairwise disjoint live candidate sets,
   each of which needs its own pick (for gamma_t, the open-packing bound
   rho_o(G) <= gamma_t(G)); and the counting bound, ceil(uncovered / the
-  largest number of uncovered vertices one live candidate covers).
+  largest number of uncovered vertices one live candidate covers). When
+  at most two picks can still beat the incumbent, the search finishes
+  exactly instead of branching: u covers v iff v covers u, so the one
+  pick that covers a set R is a live common neighbour of R, found by
+  intersecting masks. With one pick left it takes the lowest such vertex
+  of the uncovered set; with two, it walks the branching candidates in
+  the search's order and pairs the first that leaves a coverable rest
+  with the lowest live common neighbour of that rest. Values and
+  witnesses are those the branching would find.
 
 A solve is pure: same graph and config, same result, bit for bit.
 """
@@ -58,7 +66,11 @@ class SolverConfig:
 class SolverStats:
     """Work done by one solve. The exhaustive strategy counts only subsets;
     branch and bound counts nodes, forced picks, its prunes by reason and
-    the times it improved on its incumbent."""
+    the times it improved on its incumbent. The last one or two picks that
+    could still beat the incumbent are finished without recursing, so they
+    are not ``branch_nodes`` (nor forced picks); a finish that finds no cover
+    counts as ``prunes_counting``, which with one pick left is exactly the
+    counting bound."""
 
     subsets_examined: int = 0
     branch_nodes: int = 0
@@ -164,6 +176,16 @@ def _greedy_cover(cover: Sequence[int], n: int) -> int:
     return chosen
 
 
+def _common_cover(cover: Sequence[int], targets: int, live: int) -> int:
+    """The vertices of ``live`` that cover every vertex of ``targets``: with
+    symmetric covers, ``live`` and the covers of the targets intersected."""
+    while targets and live:
+        low = targets & -targets
+        live &= cover[low.bit_length() - 1]
+        targets ^= low
+    return live
+
+
 def _bnb_min_cover(
     cover: Sequence[int],
     n: int,
@@ -177,7 +199,10 @@ def _bnb_min_cover(
     Returns (value, witness_mask, counters), the counters named as the
     ``SolverStats`` fields they fill. ``seed_mask`` must be a valid cover
     (the incumbent); ``lower_bound`` a proven global lower bound, used only
-    for an early exit.
+    for an early exit. Covers must be symmetric (u in ``cover[v]`` iff v in
+    ``cover[u]``), as closed and open neighbourhoods are: the exact finish
+    of the last picks takes the vertices covering a set R to be the
+    intersection of the covers of R's members.
     """
     full = (1 << n) - 1
     best_mask = seed_mask
@@ -212,6 +237,17 @@ def _bnb_min_cover(
                 incumbent += 1
                 return
             unc = full & ~covered
+            if size + 2 == best_value:
+                # one pick left: it must cover every uncovered vertex, so it
+                # is a live common neighbour of them all
+                common = _common_cover(cover, unc, live)
+                if common:
+                    best_value = size + 1
+                    best_mask = chosen | (common & -common)
+                    updates += 1
+                else:
+                    counting += 1
+                return
             forced = -1
             fewest = n + 1
             used = packed = 0
@@ -243,6 +279,36 @@ def _bnb_min_cover(
             size += 1
         if size + packed >= best_value:
             packing += 1
+            return
+
+        if size + 3 == best_value:
+            # two picks left: walk the branching candidates in the search's
+            # order, each banning the earlier ones. If any candidate covers
+            # everything alone, the first (of the highest gain) does, so the
+            # first pair found is optimal
+            order = []
+            m = branch
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                m ^= low
+                order.append((-(cover[u] & unc).bit_count(), u))
+            order.sort()
+            for _, u in order:
+                rest = unc & ~cover[u]
+                if not rest:
+                    best_value = size + 1
+                    best_mask = chosen | (1 << u)
+                    updates += 1
+                    return
+                live ^= 1 << u
+                common = _common_cover(cover, rest, live)
+                if common:
+                    best_value = size + 2
+                    best_mask = chosen | (1 << u) | (common & -common)
+                    updates += 1
+                    return
+            counting += 1
             return
 
         order = []

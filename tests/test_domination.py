@@ -331,6 +331,15 @@ class TestPruningSoundness:
         ])
         assert gamma(h).value == gamma(h, EXHAUSTIVE).value == 6
 
+    def test_two_picks_left_one_candidate_covers_all(self):
+        # with two picks left, the first branching candidate of these graphs
+        # covers every uncovered vertex alone; finishing it with a second
+        # pick anyway answers one more than the optimum
+        g = family("random:n=12,p=0.2,seed=2278")
+        assert gamma_t(g).value == gamma_t(g, EXHAUSTIVE).value == 4
+        h = family("random:n=12,p=0.2,seed=2385")
+        assert gamma(h).value == gamma(h, EXHAUSTIVE).value == 3
+
     def test_sparse_envelope_within_node_limit(self):
         # random:n=64,p=0.1 was the slowest class at the envelope; values
         # computed without a limit
