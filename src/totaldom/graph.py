@@ -213,10 +213,6 @@ def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:
     return sides[0], sides[1]
 
 
-def diameter_masks(adj: Sequence[int], n: int) -> float:
-    return _diameter_from(adj, n, bfs_layers(adj, 0))
-
-
 def _diameter_from(adj: Sequence[int], n: int, first: list[int]) -> float:
     """Diameter, given ``first = bfs_layers(adj, 0)``, which also decides
     connectivity."""

@@ -48,6 +48,7 @@ from .families import (
     FamilyKind,
     FamilySpec,
     _format_fraction,
+    adj_from_edge_mask,
     generate,
     isomorphism_classes,
     labelings,
@@ -235,22 +236,22 @@ def _girth_if_at_least_5(adj, n, deg) -> int | None:
     return int(g)
 
 
-def _edge_list(adj, n) -> list[list[int]]:
-    out = []
-    for u in range(n):
-        rest = adj[u] >> (u + 1) << (u + 1)
-        while rest:
-            low = rest & -rest
-            out.append([u, low.bit_length() - 1])
-            rest ^= low
-    return out
+def _graph(adj: Sequence[int]) -> Graph:
+    g = Graph.__new__(Graph)
+    g.n = len(adj)
+    g.adj_masks = tuple(adj)
+    return g
+
+
+def _labeled_instance(adj: Sequence[int]) -> dict:
+    return {"n": len(adj), "edges": [list(e) for e in _graph(adj).edges()]}
 
 
 def _cex_sort_key(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-# -- labeled-graph scan (shared by the bound arms and the acceptance gate) -----
+# -- labeled-graph scan (the oracle of the tests and the acceptance gate) ------
 
 SCAN_CLAIMS = (
     "cockayne_upper",
@@ -282,24 +283,13 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
     want_bip = "bipartite_extremal" in claims
     need_gt_if_no_iso = want_a or want_low or want_sw or want_bip
 
-    adj = [0] * n
-    deg = [0] * n
     gray = lo ^ (lo >> 1)
-    m = gray
-    while m:
-        low = m & -m
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
-        m ^= low
+    adj = adj_from_edge_mask(n, pairs, gray)
+    deg = [a.bit_count() for a in adj]
     zero_deg = deg.count(0)
 
     def fail(claim, detail):
-        cex[claim].append(
-            {"instance": {"n": n, "edges": _edge_list(adj, n)}, "detail": detail}
-        )
+        cex[claim].append({"instance": _labeled_instance(adj), "detail": detail})
 
     prev = gray
     for i in range(lo, hi):
@@ -357,10 +347,7 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
             if coloring is not None:
                 checked["bipartite_extremal"] += 1
                 extremal = gt == n - delta_max + 1
-                g = Graph.__new__(Graph)
-                g.n = n
-                g.adj_masks = tuple(adj)
-                shape = recognize_star_plus_matching(g)
+                shape = recognize_star_plus_matching(_graph(adj))
                 if extremal != (shape is not None):
                     fail(
                         "bipartite_extremal",
@@ -439,12 +426,10 @@ def scan_bound_claims(
     return merged
 
 
-# -- per-theorem arms -----------------------------------------------------------
+# -- the claim table ----------------------------------------------------------
 #
-# The class route: the scan claims and tree_star are invariant under
-# relabelling, so each is evaluated once per isomorphism class through the
-# public API and counted n!/|Aut| times (the class's labelings). The seeded
-# random graphs and trees go through the same evaluator with weight 1.
+# Each claim is one row of _ROWS, a function of (claim, scale). A class part
+# counts each isomorphism class n!/|Aut| times, the number of its labelings.
 
 
 class _Tally(NamedTuple):
@@ -456,22 +441,20 @@ class _Tally(NamedTuple):
     counterexamples: tuple[dict, ...]  # sorted by _cex_sort_key
 
 
-def _graph(adj: Sequence[int]) -> Graph:
-    g = Graph.__new__(Graph)
-    g.n = len(adj)
-    g.adj_masks = tuple(adj)
-    return g
+# what a check returns: claim -> (bound attained, counterexample detail or None)
+_Results = dict[str, tuple[bool, dict | None]]
+# what a row returns: domain text, class-part tally (None for closed forms), other tallies
+_Row = tuple[str, _Tally | None, list[_Tally]]
 
 
-def _evaluate(g: Graph, claims: Sequence[str]) -> dict[str, tuple[bool, dict | None]]:
-    """For each of ``claims`` whose hypothesis ``g`` meets: whether the bound
-    is attained, and the counterexample detail (None when the claim holds).
+def _evaluate(g: Graph, claims: Sequence[str], spec: FamilySpec | None) -> _Results:
+    """The results of the ``claims`` whose hypothesis ``g`` meets. ``spec``
+    is not read: these claims depend on the graph alone.
 
-    Gates, bounds and tightness come from ``profile`` and ``all_bounds``,
-    values from ``gamma_t`` and ``gamma``. The attained bound is the
-    Cockayne bound for bipartite_extremal and tree_star (the extremal
-    graphs) and gamma_t = 2 gamma for sandwich. tree_star assumes ``g`` is
-    a tree."""
+    Gates and bounds come from ``profile`` and ``all_bounds``, values from
+    ``gamma_t`` and ``gamma``. The attained bound is the Cockayne bound for
+    bipartite_extremal and tree_star (the extremal graphs) and
+    gamma_t = 2 gamma for sandwich. tree_star assumes ``g`` is a tree."""
     prof = profile(g)
     if prof.isolated:  # every claim's hypothesis excludes isolated vertices
         return {}
@@ -491,8 +474,7 @@ def _evaluate(g: Graph, claims: Sequence[str]) -> dict[str, tuple[bool, dict | N
         gt = gamma_t(g).value
     except ToolkitError as exc:
         return {c: (False, {"kind": "unverified", "error": str(exc)}) for c in claims}
-    reports = {r.bound: r for r in all_bounds(g, exact=gt, prof=prof)}
-    extremal = reports["cockayne_upper"].tight
+    extremal = gt == reports["cockayne_upper"].value
     out = {}
     for claim in claims:
         if claim in reports:
@@ -504,7 +486,7 @@ def _evaluate(g: Graph, claims: Sequence[str]) -> dict[str, tuple[bool, dict | N
                 if claim == "girth_upper":
                     detail["girth"] = int(prof.girth)
                 detail["bound"] = r.value
-            out[claim] = (r.tight, detail)
+            out[claim] = (gt == r.value, detail)
         elif claim == "sandwich":
             gam = gamma(g).value
             ok = gam <= gt <= 2 * gam
@@ -519,43 +501,70 @@ def _evaluate(g: Graph, claims: Sequence[str]) -> dict[str, tuple[bool, dict | N
     return out
 
 
-def _tally(domain: Iterable, claims: Sequence[str]) -> dict[str, _Tally]:
-    """Evaluate ``claims`` on every ``(graph, weight, instances)`` of
-    ``domain``. A failing graph adds one record per instance that
-    ``instances()`` lists."""
+# the value each circular claim asserts on its part of the grid
+_CIRCULAR_VALUE = {"circular_two": 2, "circular_three": 3}
+
+
+def _closed_form(g: Graph, claims: Sequence[str], spec: FamilySpec) -> _Results:
+    """The closed-form claim on ``g = generate(spec)`` against the exact
+    solver: the path/cycle formula, or a circular value with the formula
+    and witness of ``circular_gamma_t``. There is no bound to attain."""
+    (claim,) = claims
+    if claim == "path_cycle_formula":
+        formula = path_cycle_formula(spec.kind.value, spec.n)
+        got = gamma_t(g).value
+        detail = None if got == formula else {"formula": formula, "solver": got}
+        return {claim: (False, detail)}
+    expected = _CIRCULAR_VALUE[claim]
+    cv = circular_gamma_t(spec.n, spec.d)
+    detail = {}
+    if cv.value != expected:
+        detail["formula"] = cv.value
+    if not is_total_dominating(g, cv.witness):
+        detail["witness_valid"] = False
+    try:
+        solved = gamma_t(g).value
+        if solved != expected:
+            detail["solver"] = solved
+    except ToolkitError as exc:
+        detail["kind"] = "unverified"
+        detail["error"] = str(exc)
+    return {claim: (False, {**detail, "expected": expected} if detail else None)}
+
+
+def _tally(domain: Iterable, claims: Sequence[str], check=_evaluate) -> dict[str, _Tally]:
+    """Evaluate ``claims`` with ``check`` on every ``(graph, weight, spec)``
+    of ``domain``. A failing graph adds one record per instance: its family,
+    or every labeling of an isomorphism class (spec None)."""
     acc = {c: [0, 0, 0, []] for c in claims}  # the fields of _Tally
-    for g, weight, instances in domain:
-        for claim, (tight, detail) in _evaluate(g, claims).items():
+    for g, weight, spec in domain:
+        for claim, (tight, detail) in check(g, claims, spec).items():
             a = acc[claim]
             a[0] += weight
             a[1] += 1
             a[2] += weight if tight else 0
             if detail is not None:
-                a[3].extend(
-                    {"instance": inst, "detail": dict(detail)} for inst in instances()
-                )
+                if spec is None:
+                    instances = map(_labeled_instance, labelings(g.adj_masks))
+                else:
+                    instances = [{"family": str(spec)}]
+                a[3].extend({"instance": i, "detail": dict(detail)} for i in instances)
     return {
         c: _Tally(a[0], a[1], a[2], tuple(sorted(a[3], key=_cex_sort_key)))
         for c, a in acc.items()
     }
 
 
-def _labeled_instances(adj: tuple[int, ...]) -> list[dict]:
-    n = len(adj)
-    return [{"n": n, "edges": _edge_list(a, n)} for a in labelings(adj)]
-
-
 def _class_domain(n_values: Iterable[int], trees: bool = False) -> Iterator:
-    """Every isomorphism class of graphs (or trees) on each n, weighted by
-    its labelings; a counterexample lists every labeling."""
+    """Each isomorphism class of graphs (or trees) on each n, weighted by its labelings."""
     for n in n_values:
         for adj, weight in isomorphism_classes(n, trees):
-            yield _graph(adj), weight, partial(_labeled_instances, adj)
+            yield _graph(adj), weight, None
 
 
 def _spec_domain(specs: Iterable[FamilySpec]) -> Iterator:
     for spec in specs:
-        yield generate(spec), 1, lambda name=str(spec): [{"family": name}]
+        yield generate(spec), 1, spec
 
 
 # claims whose class domain is extended by the seeded random graphs
@@ -564,108 +573,74 @@ _RANDOM_GRAPH_CLAIMS = ("connected_upper", "diam2_upper", "girth_upper")
 
 @lru_cache(maxsize=1)
 def _random_graph_results(specs: tuple[FamilySpec, ...]) -> dict[str, _Tally]:
-    """The random-graph claims over ``specs``. One pass generates, profiles
-    and solves each graph once for all three arms, and only the results are
-    kept."""
+    """The random-graph claims over ``specs``: one pass generates, profiles
+    and solves each graph once for all three rows, and keeps only the results."""
     return _tally(_spec_domain(specs), _RANDOM_GRAPH_CLAIMS)
 
 
-def _verify_class_arm(theorem: TheoremId, scale: str) -> tuple[str, _Tally]:
-    """Domain text and the claim's tally over the isomorphism classes plus
-    the seeded random instances; ``graphs`` counts the classes alone."""
-    claim = theorem.value
-    if theorem is TheoremId.TREE_STAR:
-        tally = _tally(_class_domain(range(2, 9), trees=True), (claim,))[claim]
-        extra = _tally(_spec_domain(random_tree_specs()), (claim,))[claim]
-        domain = (
-            "all free trees on 2 <= n <= 8, each weighted by its labelings, "
-            "plus 200 seeded random trees on n <= 16"
-        )
-    else:
-        n_max = 6 if scale == "quick" else 7
-        tally = _tally(_class_domain(range(1, n_max + 1)), (claim,))[claim]
-        extra = None
-        if theorem is TheoremId.BIPARTITE_EXTREMAL:
-            domain = (
-                f"all bipartite graphs without isolated vertices on n <= {n_max}, "
-                "both directions of the extremal characterization"
-            )
-        else:
-            domain = f"all graphs on n <= {n_max} passing the hypothesis"
-        domain += ", one isomorphism class at a time, weighted by its labelings"
-        if claim in _RANDOM_GRAPH_CLAIMS:
-            extra = _random_graph_results(tuple(random_graph_specs()))[claim]
-            domain += ", plus 500 seeded random graphs on n <= 16"
-    if extra is not None:
-        tally = _Tally(
-            tally.instances + extra.instances,
-            tally.graphs,
-            tally.tight + extra.tight,
-            tuple(sorted(tally.counterexamples + extra.counterexamples, key=_cex_sort_key)),
-        )
-    return domain, tally
+def _graph_row(graphs: str, claim: str, scale: str) -> _Row:
+    n_max = 6 if scale == "quick" else 7
+    domain = graphs.format(n_max)
+    domain += ", one isomorphism class at a time, weighted by its labelings"
+    extra = []
+    if claim in _RANDOM_GRAPH_CLAIMS:
+        domain += ", plus 500 seeded random graphs on n <= 16"
+        extra.append(_random_graph_results(tuple(random_graph_specs()))[claim])
+    return domain, _tally(_class_domain(range(1, n_max + 1)), [claim])[claim], extra
 
 
-def _verify_path_cycle(scale: str) -> tuple[str, int, list[dict]]:
-    n_max = 20 if scale == "quick" else 24
-    count = 0
-    cex = []
-    for n in range(3, n_max + 1):
-        for kind in ("path", "cycle"):
-            spec = FamilySpec(kind=FamilyKind(kind), n=n)
-            g = generate(spec)
-            expected = path_cycle_formula(kind, n)
-            got = gamma_t(g).value
-            count += 1
-            if got != expected:
-                cex.append(
-                    {
-                        "instance": {"family": str(spec)},
-                        "detail": {"formula": expected, "solver": got},
-                    }
-                )
-    cex.sort(key=_cex_sort_key)
-    return f"paths and cycles, 3 <= n <= {n_max}, closed form vs exact solver", count, cex
-
-
-def _verify_circular(theorem: TheoremId, scale: str) -> tuple[str, int, list[dict]]:
-    d_max = 6 if scale == "quick" else 8
-    n_cap = 36 if scale == "quick" else 48
-    expected = 2 if theorem is TheoremId.CIRCULAR_TWO else 3
-    count = 0
-    cex = []
-    for d in range(3, d_max + 1):
-        if theorem is TheoremId.CIRCULAR_TWO:
-            n_range = range(4 * d - 2, n_cap + 1)
-        else:
-            n_range = range(3 * d, min(4 * d - 3, n_cap) + 1)
-        for n in n_range:
-            count += 1
-            spec = FamilySpec(kind=FamilyKind.CIRCULAR_COMPLETE, n=n, d=d)
-            g = generate(spec)
-            cv = circular_gamma_t(n, d)
-            detail = {}
-            if cv.value != expected:
-                detail["formula"] = cv.value
-            if not is_total_dominating(g, cv.witness):
-                detail["witness_valid"] = False
-            try:
-                solved = gamma_t(g).value
-                if solved != expected:
-                    detail["solver"] = solved
-            except ToolkitError as exc:
-                detail["kind"] = "unverified"
-                detail["error"] = str(exc)
-            if detail:
-                detail["expected"] = expected
-                cex.append({"instance": {"family": str(spec)}, "detail": detail})
-    cex.sort(key=_cex_sort_key)
-    domain = (
-        f"circular complete grid, d in 3..{d_max}, "
-        + ("n >= 4d-2" if expected == 2 else "3d <= n <= 4d-3")
-        + f", n <= {n_cap}; closed form and witness vs exact solver"
+def _tree_star_row(claim: str, scale: str) -> _Row:
+    return (
+        "all free trees on 2 <= n <= 8, each weighted by its labelings, "
+        "plus 200 seeded random trees on n <= 16",
+        _tally(_class_domain(range(2, 9), trees=True), [claim])[claim],
+        [_tally(_spec_domain(random_tree_specs()), [claim])[claim]],
     )
-    return domain, count, cex
+
+
+def _path_cycle_row(claim: str, scale: str) -> _Row:
+    n_max = 20 if scale == "quick" else 24
+    kinds = (FamilyKind.PATH, FamilyKind.CYCLE)
+    specs = [FamilySpec(kind=k, n=n) for n in range(3, n_max + 1) for k in kinds]
+    domain = f"paths and cycles, 3 <= n <= {n_max}, closed form vs exact solver"
+    return domain, None, [_tally(_spec_domain(specs), [claim], _closed_form)[claim]]
+
+
+def _circular_row(claim: str, scale: str) -> _Row:
+    d_max, n_cap = (6, 36) if scale == "quick" else (8, 48)
+    two = _CIRCULAR_VALUE[claim] == 2
+    specs = [
+        FamilySpec(kind=FamilyKind.CIRCULAR_COMPLETE, n=n, d=d)
+        for d in range(3, d_max + 1)
+        for n in range(3 * d, n_cap + 1)
+        if (n >= 4 * d - 2) == two
+    ]
+    regime = "n >= 4d-2" if two else "3d <= n <= 4d-3"
+    domain = (
+        f"circular complete grid, d in 3..{d_max}, {regime}, n <= {n_cap}; "
+        "closed form and witness vs exact solver"
+    )
+    return domain, None, [_tally(_spec_domain(specs), [claim], _closed_form)[claim]]
+
+
+_ALL_GRAPHS = partial(_graph_row, "all graphs on n <= {} passing the hypothesis")
+_ROWS = {
+    "cockayne_upper": _ALL_GRAPHS,
+    "connected_upper": _ALL_GRAPHS,
+    "n_over_delta_lower": _ALL_GRAPHS,
+    "diam2_upper": _ALL_GRAPHS,
+    "girth_upper": _ALL_GRAPHS,
+    "sandwich": _ALL_GRAPHS,
+    "path_cycle_formula": _path_cycle_row,
+    "bipartite_extremal": partial(
+        _graph_row,
+        "all bipartite graphs without isolated vertices on n <= {}, "
+        "both directions of the extremal characterization",
+    ),
+    "tree_star": _tree_star_row,
+    "circular_two": _circular_row,
+    "circular_three": _circular_row,
+}
 
 
 def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> VerificationReport:
@@ -674,23 +649,17 @@ def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> Verificat
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     t0 = time.perf_counter()
-    classes = tight = None
-    if theorem.value in SCAN_CLAIMS or theorem is TheoremId.TREE_STAR:
-        domain, tally = _verify_class_arm(theorem, scale)
-        count, cex = tally.instances, list(tally.counterexamples)
-        classes, tight = tally.graphs, tally.tight
-    elif theorem is TheoremId.PATH_CYCLE_FORMULA:
-        domain, count, cex = _verify_path_cycle(scale)
-    else:
-        domain, count, cex = _verify_circular(theorem, scale)
+    domain, by_class, extra = _ROWS[theorem.value](theorem.value, scale)
+    parts = extra if by_class is None else [by_class, *extra]
+    cex = sorted((record for p in parts for record in p.counterexamples), key=_cex_sort_key)
     return VerificationReport(
         theorem=theorem,
         domain=domain,
-        instances_checked=count,
+        instances_checked=sum(p.instances for p in parts),
         counterexamples=cex,
         elapsed_seconds=time.perf_counter() - t0,
-        classes=classes,
-        tight=tight,
+        classes=None if by_class is None else by_class.graphs,
+        tight=None if by_class is None else sum(p.tight for p in parts),
     )
 
 

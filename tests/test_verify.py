@@ -14,6 +14,7 @@ from totaldom import (
     Strategy,
     TheoremId,
     VerificationReport,
+    VertexSet,
     gamma,
     gamma_t,
     parse_family_range,
@@ -279,6 +280,61 @@ class TestVerifyArms:
         assert r.instances_checked == sum(
             (4 * d - 3) - 3 * d + 1 for d in range(3, 7)
         ) == 10
+
+    # instances / classes / tight of every claim at quick scale; a row that
+    # loses a part of its domain, such as the random graphs, moves a count
+    @pytest.mark.parametrize(
+        "theorem, instances, classes, tight",
+        [
+            (TheoremId.COCKAYNE_UPPER, 28_263, 155, 6_006),
+            (TheoremId.CONNECTED_UPPER, 22_129, 90, 19_248),
+            (TheoremId.N_OVER_DELTA_LOWER, 28_263, 155, 22_633),
+            (TheoremId.DIAM2_UPPER, 11_393, 78, 2_054),
+            (TheoremId.GIRTH_UPPER, 72, 2, 72),
+            (TheoremId.SANDWICH, 28_263, 155, 6_586),
+            (TheoremId.PATH_CYCLE_FORMULA, 36, None, None),
+            (TheoremId.BIPARTITE_EXTREMAL, 3_672, 34, 127),
+            (TheoremId.TREE_STAR, 280_592, 47, 68),
+            (TheoremId.CIRCULAR_TWO, 84, None, None),
+            (TheoremId.CIRCULAR_THREE, 10, None, None),
+        ],
+    )
+    def test_quick_counts(self, theorem, instances, classes, tight):
+        r = verify(theorem, "quick")
+        assert (r.verdict, r.instances_checked, r.classes, r.tight) == (
+            "PASS", instances, classes, tight
+        )
+
+    @pytest.mark.parametrize(
+        "theorem, records, family, detail",
+        [
+            (TheoremId.PATH_CYCLE_FORMULA, 36, "cycle:n=18", {"formula": 10, "solver": 11}),
+            (TheoremId.CIRCULAR_THREE, 10, "circular:n=12,d=4", {"solver": 4, "expected": 3}),
+        ],
+    )
+    def test_closed_form_records_a_wrong_solver(
+        self, monkeypatch, theorem, records, family, detail
+    ):
+        _shift_gamma_t(monkeypatch, 1)
+        r = verify(theorem, "quick")
+        assert r.instances_checked == len(r.counterexamples) == records
+        assert r.counterexamples == sorted(r.counterexamples, key=_cex_sort_key)
+        [got] = [c for c in r.counterexamples if c["instance"] == {"family": family}]
+        # key order is part of the JSON output
+        assert json.dumps(got["detail"]) == json.dumps(detail)
+
+    def test_circular_records_an_invalid_witness(self, monkeypatch):
+        real = verify_mod.circular_gamma_t
+
+        def one_vertex_witness(n, d):
+            return dataclasses.replace(real(n, d), witness=VertexSet(n, 1))
+
+        monkeypatch.setattr(verify_mod, "circular_gamma_t", one_vertex_witness)
+        r = verify(TheoremId.CIRCULAR_TWO, "quick")
+        assert len(r.counterexamples) == 84
+        assert {json.dumps(c["detail"]) for c in r.counterexamples} == {
+            '{"witness_valid": false, "expected": 2}'
+        }
 
     def test_girth_arm_quick(self):
         r = verify(TheoremId.GIRTH_UPPER, "quick")
