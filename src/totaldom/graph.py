@@ -188,8 +188,9 @@ def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:
     lands in side a, which makes the partition deterministic. Sides alternate
     by BFS layer, and an edge inside a layer closes an odd cycle. The frontier
     loop of ``bfs_layers`` runs inline here, so that the check reads the
-    layer's neighbourhood as it is built and stops at the first such layer:
-    the labeled scan calls this about two million times per pass.
+    layer's neighbourhood as it is built and stops at the first such layer.
+    The labeled scan calls this only on triangle-free graphs without isolated
+    vertices: 99,900 of the 2,097,152 labeled graphs on 7 vertices.
     """
     sides = [0, 0]
     remaining = (1 << n) - 1

@@ -13,7 +13,7 @@ The graph claims have two routes, by design:
   ``all_bounds``, ``gamma_t``, ``gamma``, ``recognize_star_plus_matching``)
   and counted n!/|Aut| times; a failing class expands into every labeling;
 * the labeled scan, ``scan_bound_claims``: a Gray-code walk over every
-  labeled graph with its own fast gates, value-only covers and inline bound
+  labeled graph with its own fast gates, bitmap covers and inline bound
   formulas. It is the independent oracle the tests and the acceptance
   criteria compare against. The bound formulas therefore sit in two places,
   ``bounds.all_bounds`` and ``_scan_labeled_chunk``; that is the point of
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import (
@@ -44,6 +43,7 @@ from .errors import DomainTooLarge, ResourceExhausted, ToolkitError
 # prufer_decode is not called here: it stays importable from this module,
 # where perfbench's traced run wraps it and counts its calls
 from .families import (
+    ENUMERATION_MAX_N,
     SWEEP_BUDGET,
     FamilyKind,
     FamilySpec,
@@ -154,63 +154,61 @@ def random_tree_specs(
     ]
 
 
-# -- fast value-only solver for enumeration hot paths --------------------------
+# -- bitmap kernels of the labeled scan ----------------------------------------
+#
+# Bit S of a 2^n-bit int stands for the vertex set S, so a cover search is a
+# few ANDs; a graph's rows packed n bits per vertex give its square in one int.
 
 
 @lru_cache(maxsize=None)
-def _combos(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(
-        tuple(combinations(range(n), k)) for k in range(1, n + 1)
-    )
+def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(hits, layers)``: bit S of ``hits[a]`` is set when the vertex set S
+    meets the mask a, and of ``layers[k]`` when S has k members."""
+    subsets = range(1 << n)
+    hits = tuple(sum(1 << s for s in subsets if s & a) for a in subsets)
+    return hits, tuple(sum(1 << s for s in subsets if s.bit_count() == k) for k in range(n + 1))
 
 
-def _cover_value(cover, full, combos, covered=0) -> int:
-    """Minimum number of cover sets whose union with the start mask
-    ``covered`` is full (0 when ``covered`` already is); same subset order
-    as the exhaustive solver strategy."""
-    if covered == full:
-        return 0
-    for group in combos:
-        for c in group:
-            u = covered
-            for v in c:
-                u |= cover[v]
-            if u == full:
-                return len(c)
-    raise AssertionError("input not coverable")
+def _min_hitting_set(masks, hits, layers) -> int:
+    """Size of the smallest vertex set meeting every mask: gamma from the
+    closed neighbourhoods, gamma_t from the open ones. The search runs
+    upward from 1, never from a bound the scan checks."""
+    sets = -1
+    for m in masks:
+        sets &= hits[m]
+    k = 1
+    while not layers[k] & sets:  # IndexError when no set meets every mask
+        k += 1
+    return k
 
 
-def _total_cover_value(adj, full, combos) -> int:
-    """gamma_t of a graph without isolated vertices, from its open
-    neighbourhoods ``adj``.
+# gamma_t from the open neighbourhoods, under a name of its own so that it can
+# be replaced apart from gamma
+_total_cover_value = _min_hitting_set
 
-    Support-vertex rule: the only neighbour of a degree-1 vertex is in every
-    total dominating set, so those supports are taken first and the subset
-    search covers what they leave. gamma does not use the rule: in K2 both
-    vertices are leaves, and forcing both is right for gamma_t(K2) = 2 but
-    wrong for gamma(K2) = 1."""
-    forced = covered = 0
+
+@lru_cache(maxsize=None)
+def _square_tables(n: int) -> tuple[tuple[int, ...], int, int]:
+    """``(spread, rep, all_ones)`` for n-bit blocks, one per vertex:
+    ``spread[m]`` fills the blocks of the vertices of m, ``m * rep`` puts m
+    in every block and ``all_ones`` fills them all."""
+    block, rep = (1 << n) - 1, sum(1 << (n * v) for v in range(n))
+    spread = tuple(sum(block << (n * v) for v in range(n) if m >> v & 1) for m in range(1 << n))
+    return spread, rep, block * rep
+
+
+def _square_gates(adj, packed, spread, rep, all_ones) -> tuple[bool, bool]:
+    """``(diameter <= 2, has a triangle)`` of a graph without isolated
+    vertices, from ``packed``, its rows one block per vertex.
+
+    Block u of ``spread[a] & a * rep`` is a = N(v) when u is in N(v), so the
+    OR over v is the square, N(N(u)) in block u, which holds u. Every vertex
+    is within distance 2 of u when N(u) | N(N(u)) fills block u, and a
+    neighbour of u in N(N(u)) closes a triangle."""
+    sq = 0
     for a in adj:
-        if not a & (a - 1):
-            forced |= a
-            covered |= adj[a.bit_length() - 1]
-    return forced.bit_count() + _cover_value(adj, full, combos, covered)
-
-
-def _diameter_is_2(adj, n, full) -> bool:
-    saw_non_complete = False
-    for v in range(n):
-        reach = adj[v] | (1 << v)
-        if reach != full:
-            saw_non_complete = True
-        m = adj[v]
-        while m:
-            low = m & -m
-            reach |= adj[low.bit_length() - 1]
-            m ^= low
-        if reach != full:
-            return False
-    return saw_non_complete
+        sq |= spread[a] & a * rep
+    return (sq | packed) == all_ones, sq & packed != 0
 
 
 def _girth_if_at_least_5(adj, n, deg) -> int | None:
@@ -269,8 +267,10 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
     [lo, hi) and evaluate the requested claims on each."""
     n, lo, hi, claims = args
     pairs = vertex_pairs(n)
-    full = (1 << n) - 1
-    combos = _combos(n)
+    hits, layers = _subset_tables(n)
+    spread, rep, all_ones = _square_tables(n)
+    # the two packed bits of each pair, toggled with its edge
+    pair_bits = [1 << (n * u + v) | 1 << (n * v + u) for u, v in pairs]
     checked = {c: 0 for c in claims}
     cex: dict[str, list[dict]] = {c: [] for c in claims}
 
@@ -281,10 +281,13 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
     want_gi = "girth_upper" in claims
     want_sw = "sandwich" in claims
     want_bip = "bipartite_extremal" in claims
-    need_gt_if_no_iso = want_a or want_low or want_sw or want_bip
+    need_gt_if_no_iso = want_a or want_low or want_sw
+    need_square = want_b or want_d2 or want_bip
 
     gray = lo ^ (lo >> 1)
     adj = adj_from_edge_mask(n, pairs, gray)
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    packed = sum(a << (n * v) for v, a in enumerate(adj))
     deg = [a.bit_count() for a in adj]
     zero_deg = deg.count(0)
 
@@ -299,6 +302,7 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
             prev = gray
             u, v = pairs[b]
             bit_u, bit_v = 1 << u, 1 << v
+            packed ^= pair_bits[b]
             if gray >> b & 1:
                 if deg[u] == 0:
                     zero_deg -= 1
@@ -317,20 +321,21 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
                     zero_deg += 1
                 if deg[v] == 0:
                     zero_deg += 1
+            closed[u] ^= bit_v
+            closed[v] ^= bit_u
 
         no_iso = zero_deg == 0
         delta_max = max(deg)
         gt = -1
         if no_iso and need_gt_if_no_iso:
-            gt = _total_cover_value(adj, full, combos)
+            gt = _total_cover_value(adj, hits, layers)
+        if no_iso and need_square:
+            within_2, triangle = _square_gates(adj, packed, spread, rep, all_ones)
 
         if want_a and no_iso:
             checked["cockayne_upper"] += 1
             if gt > n - delta_max + 1:
-                fail(
-                    "cockayne_upper",
-                    {"gamma_t": gt, "bound": n - delta_max + 1},
-                )
+                fail("cockayne_upper", {"gamma_t": gt, "bound": n - delta_max + 1})
         if want_low and no_iso:
             checked["n_over_delta_lower"] += 1
             lower = -(-n // delta_max)
@@ -338,54 +343,40 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
                 fail("n_over_delta_lower", {"gamma_t": gt, "bound": lower})
         if want_sw and no_iso:
             checked["sandwich"] += 1
-            closed = [adj[v2] | (1 << v2) for v2 in range(n)]
-            gam = _cover_value(closed, full, combos)
+            gam = _min_hitting_set(closed, hits, layers)
             if not gam <= gt <= 2 * gam:
                 fail("sandwich", {"gamma": gam, "gamma_t": gt})
-        if want_bip and no_iso:
-            coloring = two_coloring_masks(adj, n)
-            if coloring is not None:
-                checked["bipartite_extremal"] += 1
-                extremal = gt == n - delta_max + 1
-                shape = recognize_star_plus_matching(_graph(adj))
-                if extremal != (shape is not None):
-                    fail(
-                        "bipartite_extremal",
-                        {
-                            "gamma_t": gt,
-                            "extremal": extremal,
-                            "star_plus_matching": shape is not None,
-                        },
-                    )
-        if want_b:
-            if delta_max < n - 1 and no_iso and is_connected_masks(adj, n):
-                checked["connected_upper"] += 1
+        if want_bip and no_iso and not triangle and two_coloring_masks(adj, n) is not None:
+            checked["bipartite_extremal"] += 1
+            if gt == -1:
+                gt = _total_cover_value(adj, hits, layers)
+            extremal = gt == n - delta_max + 1
+            star = recognize_star_plus_matching(_graph(adj)) is not None
+            if extremal != star:
+                detail = {"gamma_t": gt, "extremal": extremal, "star_plus_matching": star}
+                fail("bipartite_extremal", detail)
+        if want_b and delta_max < n - 1 and no_iso and (within_2 or is_connected_masks(adj, n)):
+            checked["connected_upper"] += 1
+            if gt == -1:
+                gt = _total_cover_value(adj, hits, layers)
+            if gt > n - delta_max:
+                fail("connected_upper", {"gamma_t": gt, "bound": n - delta_max})
+        # diameter exactly 2: within distance 2 and not complete
+        if want_d2 and no_iso and within_2 and min(deg) < n - 1:
+            checked["diam2_upper"] += 1
+            if gt == -1:
+                gt = _total_cover_value(adj, hits, layers)
+            if gt > min(deg) + 1:
+                fail("diam2_upper", {"gamma_t": gt, "bound": min(deg) + 1})
+        if want_gi and no_iso and min(deg) >= 2:
+            girth = _girth_if_at_least_5(adj, n, deg)
+            if girth is not None:
+                checked["girth_upper"] += 1
                 if gt == -1:
-                    gt = _total_cover_value(adj, full, combos)
-                if gt > n - delta_max:
-                    fail(
-                        "connected_upper", {"gamma_t": gt, "bound": n - delta_max}
-                    )
-        if want_d2:
-            if no_iso and _diameter_is_2(adj, n, full):
-                checked["diam2_upper"] += 1
-                if gt == -1:
-                    gt = _total_cover_value(adj, full, combos)
-                if gt > min(deg) + 1:
-                    fail("diam2_upper", {"gamma_t": gt, "bound": min(deg) + 1})
-        if want_gi:
-            if no_iso and min(deg) >= 2:
-                girth = _girth_if_at_least_5(adj, n, deg)
-                if girth is not None:
-                    checked["girth_upper"] += 1
-                    if gt == -1:
-                        gt = _total_cover_value(adj, full, combos)
-                    bound = n - (girth + 1) // 2 + 1
-                    if gt > bound:
-                        fail(
-                            "girth_upper",
-                            {"gamma_t": gt, "girth": girth, "bound": bound},
-                        )
+                    gt = _total_cover_value(adj, hits, layers)
+                bound = n - (girth + 1) // 2 + 1
+                if gt > bound:
+                    fail("girth_upper", {"gamma_t": gt, "girth": girth, "bound": bound})
     return checked, cex
 
 
@@ -407,10 +398,15 @@ def scan_bound_claims(
     n_values: Iterable[int], claims: Sequence[str], jobs: int = 1
 ) -> dict[str, tuple[int, list[dict]]]:
     """Evaluate bound claims over every labeled graph on each n. Returns
-    {claim: (instances_checked, sorted counterexamples)}."""
+    {claim: (instances_checked, sorted counterexamples)}. Raises
+    DomainTooLarge, before any chunk is built, for an n outside
+    1..ENUMERATION_MAX_N."""
     for c in claims:
         if c not in SCAN_CLAIMS:
             raise ValueError(f"unknown claim {c!r}")
+    n_values = list(n_values)
+    if not all(1 <= n <= ENUMERATION_MAX_N for n in n_values):
+        raise DomainTooLarge(f"labeled scan supports 1 <= n <= {ENUMERATION_MAX_N}: {n_values}")
     chunks = []
     for n in n_values:
         total = 1 << (n * (n - 1) // 2)

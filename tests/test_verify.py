@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -31,10 +32,11 @@ from totaldom.verify import (
     SWEEP_COLUMNS,
     _cex_sort_key,
     _class_domain,
-    _combos,
-    _cover_value,
-    _diameter_is_2,
     _girth_if_at_least_5,
+    _min_hitting_set,
+    _square_gates,
+    _square_tables,
+    _subset_tables,
     _tally,
     _total_cover_value,
     random_graph_specs,
@@ -65,58 +67,56 @@ def test_theorem_ids_closed_enumeration():
 
 
 class TestScanAgreesWithSolvers:
-    def test_cover_value_matches_public_api(self):
-        # the enumeration hot path must equal the exhaustive solver
-        for n in range(2, 6):
-            combos = _combos(n)
-            full = (1 << n) - 1
+    # the scan's bitmap covers against the exhaustive strategy, which shares
+    # no code with them
+    def test_min_hitting_set_is_gamma_on_every_graph_up_to_6(self):
+        for n in range(1, 7):
+            hits, layers = _subset_tables(n)
             for _, edges in edge_mask_graphs(n):
                 g = Graph(n, edges)
-                res = gamma_t(g)
-                if res is None:
-                    continue
-                assert _cover_value(list(g.adj_masks), full, combos) == res.value
-                closed = [a | (1 << v) for v, a in enumerate(g.adj_masks)]
-                assert _cover_value(closed, full, combos) == gamma(g).value
+                closed = [a | 1 << v for v, a in enumerate(g.adj_masks)]
+                assert _min_hitting_set(closed, hits, layers) == (
+                    gamma(g, EXHAUSTIVE).value
+                ), edges
 
-    # the exhaustive strategy forces nothing, so it checks the support-vertex
-    # rule of the scan's gamma_t cover
     def test_total_cover_value_on_every_graph_up_to_6(self):
         for n in range(2, 7):
-            combos = _combos(n)
-            full = (1 << n) - 1
+            hits, layers = _subset_tables(n)
             for _, edges in edge_mask_graphs(n):
                 g = Graph(n, edges)
                 if g.isolated_mask():
                     continue
-                assert _total_cover_value(g.adj_masks, full, combos) == (
+                assert _total_cover_value(g.adj_masks, hits, layers) == (
                     gamma_t(g, EXHAUSTIVE).value
                 ), edges
 
     def test_total_cover_value_on_every_tree_up_to_7(self):
         for n in range(2, 8):
-            combos = _combos(n)
-            full = (1 << n) - 1
+            hits, layers = _subset_tables(n)
             for seq in product(range(n), repeat=n - 2):
                 g = Graph(n, prufer_decode(seq, n))
-                assert _total_cover_value(g.adj_masks, full, combos) == (
+                assert _total_cover_value(g.adj_masks, hits, layers) == (
                     gamma_t(g, EXHAUSTIVE).value
                 ), seq
 
-    def test_cover_value_of_a_covered_start_is_0(self):
-        for n in range(1, 6):
-            full = (1 << n) - 1
-            cover = [1 << v for v in range(n)]
-            assert _cover_value(cover, full, _combos(n), covered=full) == 0
+    def test_subset_tables_count_their_subsets(self):
+        # the subsets missing a are those of the other n - |a| vertices
+        for n in range(1, 8):
+            hits, layers = _subset_tables(n)
+            for a in range(1 << n):
+                assert hits[a].bit_count() == 2**n - 2 ** (n - a.bit_count()), (n, a)
+            assert [layer.bit_count() for layer in layers] == [
+                comb(n, k) for k in range(n + 1)
+            ]
 
 
 def _shift_gamma_t(monkeypatch, shift):
-    """Make both routes see gamma_t + shift: the scan's value-only cover and
+    """Make both routes see gamma_t + shift: the scan's bitmap cover and
     the public solver as the class route calls it."""
     real_cover, real_gamma_t = verify_mod._total_cover_value, verify_mod.gamma_t
 
-    def cover(adj, full, combos):
-        return real_cover(adj, full, combos) + shift
+    def cover(adj, hits, layers):
+        return real_cover(adj, hits, layers) + shift
 
     def solver(g, config=None):
         res = real_gamma_t(g, config)
@@ -215,27 +215,46 @@ class TestClassRouteAgreesWithScan:
         assert bool(cex) == bool(shift)
 
 
+@pytest.fixture(scope="class")
+def profiled_graphs_up_to_6() -> list:
+    """Every labeled graph with n <= 6, its structural profile and the
+    scan's square gates, (diameter <= 2, has a triangle)."""
+    out = []
+    for n in range(1, 7):
+        tables = _square_tables(n)
+        for _, edges in edge_mask_graphs(n):
+            g = Graph(n, edges)
+            packed = sum(a << (n * v) for v, a in enumerate(g.adj_masks))
+            gates = _square_gates(g.adj_masks, packed, *tables)
+            out.append((g, profile(g), gates))
+    return out
+
+
 class TestScanGates:
     # the scan's fast gates against the structural profile, on every
-    # labeled graph with n <= 6
-    def test_diameter_is_2_matches_profile(self):
-        for n in range(1, 7):
-            for _, edges in edge_mask_graphs(n):
-                g = Graph(n, edges)
-                assert _diameter_is_2(g.adj_masks, n, g.full_mask) == (
-                    profile(g).diameter == 2
-                ), edges
+    # labeled graph with n <= 6; the square gates, documented for graphs
+    # without isolated vertices, agree on the others too
+    def test_diameter_is_2_matches_profile(self, profiled_graphs_up_to_6):
+        for g, prof, (within_2, _) in profiled_graphs_up_to_6:
+            gate = within_2 and prof.min_degree < g.n - 1
+            assert gate == (prof.diameter == 2), list(g.edges())
 
-    def test_girth_if_at_least_5_matches_profile(self):
-        for n in range(1, 7):
-            for _, edges in edge_mask_graphs(n):
-                g = Graph(n, edges)
-                deg = g.degrees()
-                if min(deg) < 2:
-                    continue
-                girth = profile(g).girth
-                expected = girth if girth != INFINITE and girth >= 5 else None
-                assert _girth_if_at_least_5(g.adj_masks, n, deg) == expected, edges
+    def test_triangle_matches_profile(self, profiled_graphs_up_to_6):
+        for g, prof, (_, triangle) in profiled_graphs_up_to_6:
+            assert triangle == (prof.girth == 3), list(g.edges())
+
+    def test_within_distance_2_proves_connected(self, profiled_graphs_up_to_6):
+        for g, prof, (within_2, _) in profiled_graphs_up_to_6:
+            assert not within_2 or prof.is_connected, list(g.edges())
+
+    def test_girth_if_at_least_5_matches_profile(self, profiled_graphs_up_to_6):
+        for g, prof, _ in profiled_graphs_up_to_6:
+            deg = g.degrees()
+            if min(deg) < 2:
+                continue
+            girth = prof.girth
+            expected = girth if girth != INFINITE and girth >= 5 else None
+            assert _girth_if_at_least_5(g.adj_masks, g.n, deg) == expected, list(g.edges())
 
 
 class TestScan:
@@ -248,6 +267,12 @@ class TestScan:
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
             scan_bound_claims([3], ("unheard_of",))
+
+    # n = 0 has no graph to walk, and n = 8 would walk 2^28 of them
+    @pytest.mark.parametrize("n", [0, 8])
+    def test_n_outside_the_enumeration_range(self, n):
+        with pytest.raises(DomainTooLarge):
+            scan_bound_claims([3, n], SCAN_CLAIMS)
 
     def test_counts_match_filterless_expectations(self):
         res = scan_bound_claims([4], ("cockayne_upper",), jobs=1)
