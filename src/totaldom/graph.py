@@ -189,8 +189,8 @@ def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:
     by BFS layer, and an edge inside a layer closes an odd cycle. The frontier
     loop of ``bfs_layers`` runs inline here, so that the check reads the
     layer's neighbourhood as it is built and stops at the first such layer.
-    The labeled scan calls this only on triangle-free graphs without isolated
-    vertices: 99,900 of the 2,097,152 labeled graphs on 7 vertices.
+    The labeled scan calls this once per graph on its first n - 1 vertices:
+    32,768 times for the 2,097,152 labeled graphs on 7 vertices.
     """
     sides = [0, 0]
     remaining = (1 << n) - 1

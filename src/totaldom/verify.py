@@ -12,12 +12,14 @@ The graph claims have two routes, by design:
   (``families.isomorphism_classes``) through the public API (``profile``,
   ``all_bounds``, ``gamma_t``, ``gamma``, ``recognize_star_plus_matching``)
   and counted n!/|Aut| times; a failing class expands into every labeling;
-* the labeled scan, ``scan_bound_claims``: a Gray-code walk over every
-  labeled graph with its own fast gates, bitmap covers and inline bound
-  formulas. It is the independent oracle the tests and the acceptance
-  criteria compare against. The bound formulas therefore sit in two places,
-  ``bounds.all_bounds`` and ``_scan_labeled_chunk``; that is the point of
-  the second route, not a duplicate to fold away.
+* the labeled scan, ``scan_bound_claims``: a walk over every labeled graph
+  as a graph H on the first n - 1 vertices plus the neighbourhood of the
+  last one, with its own gates and covers, worked out once per H as
+  bitmaps, and inline bound formulas. It is the independent oracle the
+  tests and the acceptance criteria compare against. The bound formulas
+  therefore sit in two places, ``bounds.all_bounds`` and
+  ``_scan_labeled_chunk``; that is the point of the second route, not a
+  duplicate to fold away.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .bounds import (
 )
 from .domination import SolverConfig, gamma, gamma_t, is_total_dominating
 from .errors import DomainTooLarge, ResourceExhausted, ToolkitError
-# prufer_decode is not called here: it stays importable from this module,
-# where perfbench's traced run wraps it and counts its calls
+# prufer_decode and is_connected_masks are not called here: they stay
+# importable from this module, where perfbench's traced run wraps them and
+# counts their calls
 from .families import (
     ENUMERATION_MAX_N,
     SWEEP_BUDGET,
@@ -156,82 +159,154 @@ def random_tree_specs(
 
 # -- bitmap kernels of the labeled scan ----------------------------------------
 #
-# Bit S of a 2^n-bit int stands for the vertex set S, so a cover search is a
-# few ANDs; a graph's rows packed n bits per vertex give its square in one int.
+# The scan builds every labeled graph G on n vertices once, as H + (w, S): a
+# graph H on the vertices below w = n - 1, joined to w by the neighbourhood S.
+# What depends on H alone is worked out once per H, as bitmaps over S (bit S
+# stands for the graph H + (w, S)) and as cover tables over the vertex sets D
+# of G (bit D stands for D), so that each graph costs a few bit tests and ANDs.
+
+
+class _SubsetTables(NamedTuple):
+    """Bitmaps over the vertex sets S of n vertices, one bit per S: bit S of
+    ``meets[a]`` is set when S meets the mask a, of ``contains[a]`` when S
+    holds a, of ``inside[a]`` when S lies inside a, and of ``layers[k]``
+    when S has k members."""
+
+    meets: tuple[int, ...]
+    contains: tuple[int, ...]
+    inside: tuple[int, ...]
+    layers: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(hits, layers)``: bit S of ``hits[a]`` is set when the vertex set S
-    meets the mask a, and of ``layers[k]`` when S has k members."""
+def _subset_tables(n: int) -> _SubsetTables:
     subsets = range(1 << n)
-    hits = tuple(sum(1 << s for s in subsets if s & a) for a in subsets)
-    return hits, tuple(sum(1 << s for s in subsets if s.bit_count() == k) for k in range(n + 1))
+
+    def bitmap(test) -> int:
+        return sum(1 << s for s in subsets if test(s))
+
+    return _SubsetTables(
+        tuple(bitmap(lambda s: s & a) for a in subsets),
+        tuple(bitmap(lambda s: s & a == a) for a in subsets),
+        tuple(bitmap(lambda s: s & ~a == 0) for a in subsets),
+        tuple(bitmap(lambda s: s.bit_count() == k) for k in range(n + 1)),
+    )
 
 
-def _min_hitting_set(masks, hits, layers) -> int:
-    """Size of the smallest vertex set meeting every mask: gamma from the
-    closed neighbourhoods, gamma_t from the open ones. The search runs
-    upward from 1, never from a bound the scan checks."""
-    sets = -1
-    for m in masks:
-        sets &= hits[m]
+def _min_hitting_set(sets: int, layers: Sequence[int]) -> int:
+    """Size of the smallest vertex set among ``sets``, the bitmap of the sets
+    meeting every (closed) neighbourhood: gamma, or gamma_t from the open
+    neighbourhoods. The search runs upward from 1, never from a bound the
+    scan checks."""
     k = 1
     while not layers[k] & sets:  # IndexError when no set meets every mask
         k += 1
     return k
 
 
-# gamma_t from the open neighbourhoods, under a name of its own so that it can
-# be replaced apart from gamma
+# gamma_t, under a name of its own so that it can be replaced apart from gamma
 _total_cover_value = _min_hitting_set
 
 
-@lru_cache(maxsize=None)
-def _square_tables(n: int) -> tuple[tuple[int, ...], int, int]:
-    """``(spread, rep, all_ones)`` for n-bit blocks, one per vertex:
-    ``spread[m]`` fills the blocks of the vertices of m, ``m * rep`` puts m
-    in every block and ``all_ones`` fills them all."""
-    block, rep = (1 << n) - 1, sum(1 << (n * v) for v in range(n))
-    spread = tuple(sum(block << (n * v) for v in range(n) if m >> v & 1) for m in range(1 << n))
-    return spread, rep, block * rep
+class _Extensions(NamedTuple):
+    """What the graphs G = H + (w, S) share, for one graph H on the m = n - 1
+    vertices below w. G has no isolated vertex when S != 0 holds
+    ``isolated``; Delta(G) = max(|S|, ``dmax`` + [S meets ``top``]) and
+    delta(G) = min(|S|, ``dmin`` + [S holds ``bottom``]).
+
+    Covers: ``hits[S] & open_low[S & low] & open_high[S >> half]`` is the
+    bitmap of the vertex sets of G meeting every open neighbourhood, the
+    same with ``hits[S | w]`` and the closed tables every closed one, where
+    ``hits`` is ``_subset_tables(n).meets``, ``half = m // 2`` and ``low``
+    its mask: the open and closed neighbourhoods of the vertices below
+    ``half`` in G depend on S & low only, the others on S >> half only.
+
+    Gates, bit S set when G = H + (w, S) has the property:
+
+    * ``triangle``: H has a triangle, or S holds an edge of H;
+    * ``within_2``, every two vertices at distance <= 2: S dominates H and
+      holds every non-adjacent pair of H without a common neighbour;
+    * ``connected``: S meets every component of H;
+    * ``bipartite``: H is bipartite and, in each component, S lies inside
+      one side."""
+
+    isolated: int
+    dmax: int
+    top: int
+    dmin: int
+    bottom: int
+    open_low: list[int]
+    open_high: list[int]
+    closed_low: list[int]
+    closed_high: list[int]
+    triangle: int
+    within_2: int
+    connected: int
+    bipartite: int
 
 
-def _square_gates(adj, packed, spread, rep, all_ones) -> tuple[bool, bool]:
-    """``(diameter <= 2, has a triangle)`` of a graph without isolated
-    vertices, from ``packed``, its rows one block per vertex.
+def _extensions(adj: Sequence[int], hits: Sequence[int], sub: _SubsetTables) -> _Extensions:
+    """The ``_Extensions`` of the graph H with rows ``adj``, from the cover
+    table ``hits`` of n = len(adj) + 1 vertices and the subset tables
+    ``sub`` of len(adj)."""
+    m = len(adj)
+    w = 1 << m
+    deg = [a.bit_count() for a in adj]
+    dmax, dmin = max(deg, default=0), min(deg, default=0)
 
-    Block u of ``spread[a] & a * rep`` is a = N(v) when u is in N(v), so the
-    OR over v is the square, N(N(u)) in block u, which holds u. Every vertex
-    is within distance 2 of u when N(u) | N(N(u)) fills block u, and a
-    neighbour of u in N(N(u)) closes a triangle."""
-    sq = 0
-    for a in adj:
-        sq |= spread[a] & a * rep
-    return (sq | packed) == all_ones, sq & packed != 0
+    def having(degree: int) -> int:
+        return sum(1 << v for v, d in enumerate(deg) if d == degree)
+
+    def table(rows: Sequence[int]) -> list[int]:
+        # by doubling: bit j of the index says whether the vertex of rows[j] is in S
+        out = [-1]
+        for a in rows:
+            without, with_w = hits[a], hits[a | w]
+            out = [x & without for x in out] + [x & with_w for x in out]
+        return out
+
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    half = m // 2
+
+    meets, contains, inside = sub.meets, sub.contains, sub.inside
+    every = contains[0]
+    triangle, within_2 = 0, every
+    for v in range(m):
+        within_2 &= meets[closed[v]]  # v within distance 2 of w
+        for u in range(v):
+            pair = contains[1 << u | 1 << v]
+            if adj[v] >> u & 1:  # an edge: a triangle of H, or one with w if S holds it
+                triangle = every if adj[u] & adj[v] else triangle | pair
+            elif not adj[u] & adj[v]:  # within distance 2 through w only
+                within_2 &= pair
+    components = component_masks(adj, m)
+    connected = every
+    for c in components:
+        connected &= meets[c]
+    sides = two_coloring_masks(adj, m)
+    bipartite = 0
+    if sides is not None:
+        bipartite = every
+        for c in components:
+            rest = (w - 1) & ~c
+            bipartite &= inside[rest | sides[0] & c] | inside[rest | sides[1] & c]
+    return _Extensions(
+        having(0), dmax, having(dmax), dmin, having(dmin),
+        table(adj[:half]), table(adj[half:]), table(closed[:half]), table(closed[half:]),
+        triangle, within_2, connected, bipartite,
+    )
 
 
-def _girth_if_at_least_5(adj, n, deg) -> int | None:
-    """Girth when finite and >= 5, else None (triangle, C4, or acyclic)."""
-    for v in range(n):
-        m = adj[v]
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            if u > v and adj[u] & adj[v]:
-                return None  # triangle
+def _girth_if_at_least_5(adj: Sequence[int], n: int) -> int | None:
+    """Girth when >= 5, else None, of a triangle-free graph with minimum
+    degree >= 2, which has a cycle: None exactly when two vertices have two
+    common neighbours, a 4-cycle."""
     for u in range(n):
         for v in range(u + 1, n):
             common = adj[u] & adj[v]
             if common & (common - 1):
-                return None  # two common neighbors: a 4-cycle
-    edges = sum(deg) // 2
-    if edges < n - len(component_masks(adj, n)) + 1:
-        return None  # forest
-    g = girth_masks(adj, n)
-    assert g >= 5
-    return int(g)
+                return None
+    return int(girth_masks(adj, n))
 
 
 def _graph(adj: Sequence[int]) -> Graph:
@@ -262,15 +337,26 @@ SCAN_CLAIMS = (
 )
 
 
+def _extend(adj: Sequence[int], s: int) -> list[int]:
+    """The rows of H + (w, S), for H with rows ``adj`` and S = ``s``."""
+    w = 1 << len(adj)
+    return [a | w if s >> v & 1 else a for v, a in enumerate(adj)] + [s]
+
+
 def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
-    """Walk labeled graphs on n vertices for edge-mask Gray-code indices
-    [lo, hi) and evaluate the requested claims on each."""
+    """Evaluate the requested claims on the labeled graphs on n vertices with
+    index i in [lo, hi): the graph H + (w, S) for the graph H with edge mask
+    i >> (n - 1) over ``vertex_pairs(n - 1)`` and S = i & (2^(n-1) - 1).
+    Graphs with an isolated vertex are skipped, as every claim excludes them."""
     n, lo, hi, claims = args
-    pairs = vertex_pairs(n)
-    hits, layers = _subset_tables(n)
-    spread, rep, all_ones = _square_tables(n)
-    # the two packed bits of each pair, toggled with its edge
-    pair_bits = [1 << (n * u + v) | 1 << (n * v + u) for u, v in pairs]
+    m = n - 1
+    w = 1 << m
+    pairs = vertex_pairs(m)
+    hits, _, _, layers = _subset_tables(n)
+    sub = _subset_tables(m)
+    half, low = m // 2, (1 << m // 2) - 1
+    # the neighbourhoods S of w, nonempty, holding each mask of H's isolated vertices
+    holding = [[s for s in range(1, w) if s & iso == iso] for iso in range(w)]
     checked = {c: 0 for c in claims}
     cex: dict[str, list[dict]] = {c: [] for c in claims}
 
@@ -281,102 +367,80 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
     want_gi = "girth_upper" in claims
     want_sw = "sandwich" in claims
     want_bip = "bipartite_extremal" in claims
-    need_gt_if_no_iso = want_a or want_low or want_sw
-    need_square = want_b or want_d2 or want_bip
+    # the claims whose hypothesis is only "no isolated vertex"
+    always = [c for c in ("cockayne_upper", "n_over_delta_lower", "sandwich") if c in claims]
+    need_gt = bool(always)
+    want_dmin = want_d2 or want_gi
 
-    gray = lo ^ (lo >> 1)
-    adj = adj_from_edge_mask(n, pairs, gray)
-    closed = [a | 1 << v for v, a in enumerate(adj)]
-    packed = sum(a << (n * v) for v, a in enumerate(adj))
-    deg = [a.bit_count() for a in adj]
-    zero_deg = deg.count(0)
+    def total_cover(s):  # gamma_t of H + (w, S)
+        return _total_cover_value(hits[s] & open_low[s & low] & open_high[s >> half], layers)
 
-    def fail(claim, detail):
-        cex[claim].append({"instance": _labeled_instance(adj), "detail": detail})
+    def fail(claim, s, detail):
+        instance = _labeled_instance(_extend(adj, s))
+        cex[claim].append({"instance": instance, "detail": detail})
 
-    prev = gray
-    for i in range(lo, hi):
-        if i != lo:
-            gray = i ^ (i >> 1)
-            b = (gray ^ prev).bit_length() - 1
-            prev = gray
-            u, v = pairs[b]
-            bit_u, bit_v = 1 << u, 1 << v
-            packed ^= pair_bits[b]
-            if gray >> b & 1:
-                if deg[u] == 0:
-                    zero_deg -= 1
-                if deg[v] == 0:
-                    zero_deg -= 1
-                adj[u] |= bit_v
-                adj[v] |= bit_u
-                deg[u] += 1
-                deg[v] += 1
-            else:
-                adj[u] &= ~bit_v
-                adj[v] &= ~bit_u
-                deg[u] -= 1
-                deg[v] -= 1
-                if deg[u] == 0:
-                    zero_deg += 1
-                if deg[v] == 0:
-                    zero_deg += 1
-            closed[u] ^= bit_v
-            closed[v] ^= bit_u
+    for h in range(lo >> m, hi >> m):
+        adj = adj_from_edge_mask(m, pairs, h)
+        (
+            isolated, dmax, top, dmin, bottom,
+            open_low, open_high, closed_low, closed_high,
+            triangle, within_2, connected, bipartite,
+        ) = _extensions(adj, hits, sub)
+        neighbourhoods = holding[isolated]
+        for claim in always:
+            checked[claim] += len(neighbourhoods)
+        for s in neighbourhoods:
+            size = s.bit_count()
+            delta_max = dmax + 1 if s & top else dmax
+            if size > delta_max:
+                delta_max = size
+            gt = total_cover(s) if need_gt else -1
 
-        no_iso = zero_deg == 0
-        delta_max = max(deg)
-        gt = -1
-        if no_iso and need_gt_if_no_iso:
-            gt = _total_cover_value(adj, hits, layers)
-        if no_iso and need_square:
-            within_2, triangle = _square_gates(adj, packed, spread, rep, all_ones)
-
-        if want_a and no_iso:
-            checked["cockayne_upper"] += 1
-            if gt > n - delta_max + 1:
-                fail("cockayne_upper", {"gamma_t": gt, "bound": n - delta_max + 1})
-        if want_low and no_iso:
-            checked["n_over_delta_lower"] += 1
-            lower = -(-n // delta_max)
-            if gt < lower:
-                fail("n_over_delta_lower", {"gamma_t": gt, "bound": lower})
-        if want_sw and no_iso:
-            checked["sandwich"] += 1
-            gam = _min_hitting_set(closed, hits, layers)
-            if not gam <= gt <= 2 * gam:
-                fail("sandwich", {"gamma": gam, "gamma_t": gt})
-        if want_bip and no_iso and not triangle and two_coloring_masks(adj, n) is not None:
-            checked["bipartite_extremal"] += 1
-            if gt == -1:
-                gt = _total_cover_value(adj, hits, layers)
-            extremal = gt == n - delta_max + 1
-            star = recognize_star_plus_matching(_graph(adj)) is not None
-            if extremal != star:
-                detail = {"gamma_t": gt, "extremal": extremal, "star_plus_matching": star}
-                fail("bipartite_extremal", detail)
-        if want_b and delta_max < n - 1 and no_iso and (within_2 or is_connected_masks(adj, n)):
-            checked["connected_upper"] += 1
-            if gt == -1:
-                gt = _total_cover_value(adj, hits, layers)
-            if gt > n - delta_max:
-                fail("connected_upper", {"gamma_t": gt, "bound": n - delta_max})
-        # diameter exactly 2: within distance 2 and not complete
-        if want_d2 and no_iso and within_2 and min(deg) < n - 1:
-            checked["diam2_upper"] += 1
-            if gt == -1:
-                gt = _total_cover_value(adj, hits, layers)
-            if gt > min(deg) + 1:
-                fail("diam2_upper", {"gamma_t": gt, "bound": min(deg) + 1})
-        if want_gi and no_iso and min(deg) >= 2:
-            girth = _girth_if_at_least_5(adj, n, deg)
-            if girth is not None:
-                checked["girth_upper"] += 1
+            if want_a and gt > n - delta_max + 1:
+                fail("cockayne_upper", s, {"gamma_t": gt, "bound": n - delta_max + 1})
+            if want_low and gt * delta_max < n:  # gt < ceil(n / delta_max)
+                fail("n_over_delta_lower", s, {"gamma_t": gt, "bound": -(-n // delta_max)})
+            if want_sw:
+                sets = hits[s | w] & closed_low[s & low] & closed_high[s >> half]
+                gam = _min_hitting_set(sets, layers)
+                if not gam <= gt <= 2 * gam:
+                    fail("sandwich", s, {"gamma": gam, "gamma_t": gt})
+            if want_bip and bipartite >> s & 1:
+                checked["bipartite_extremal"] += 1
                 if gt == -1:
-                    gt = _total_cover_value(adj, hits, layers)
-                bound = n - (girth + 1) // 2 + 1
-                if gt > bound:
-                    fail("girth_upper", {"gamma_t": gt, "girth": girth, "bound": bound})
+                    gt = total_cover(s)
+                extremal = gt == n - delta_max + 1
+                star = recognize_star_plus_matching(_graph(_extend(adj, s))) is not None
+                if extremal != star:
+                    detail = {"gamma_t": gt, "extremal": extremal, "star_plus_matching": star}
+                    fail("bipartite_extremal", s, detail)
+            if want_b and delta_max < m and connected >> s & 1:
+                checked["connected_upper"] += 1
+                if gt == -1:
+                    gt = total_cover(s)
+                if gt > n - delta_max:
+                    fail("connected_upper", s, {"gamma_t": gt, "bound": n - delta_max})
+            if not want_dmin:
+                continue
+            delta_min = dmin + 1 if s & bottom == bottom else dmin
+            if size < delta_min:
+                delta_min = size
+            # diameter exactly 2: within distance 2 and not complete
+            if want_d2 and delta_min < m and within_2 >> s & 1:
+                checked["diam2_upper"] += 1
+                if gt == -1:
+                    gt = total_cover(s)
+                if gt > delta_min + 1:
+                    fail("diam2_upper", s, {"gamma_t": gt, "bound": delta_min + 1})
+            if want_gi and delta_min >= 2 and not triangle >> s & 1:
+                girth = _girth_if_at_least_5(_extend(adj, s), n)
+                if girth is not None:
+                    checked["girth_upper"] += 1
+                    if gt == -1:
+                        gt = total_cover(s)
+                    bound = n - (girth + 1) // 2 + 1
+                    if gt > bound:
+                        fail("girth_upper", s, {"gamma_t": gt, "girth": girth, "bound": bound})
     return checked, cex
 
 

@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from totaldom import (
-    INFINITE,
     DomainTooLarge,
     FamilySpec,
     Graph,
@@ -32,10 +31,9 @@ from totaldom.verify import (
     SWEEP_COLUMNS,
     _cex_sort_key,
     _class_domain,
+    _extensions,
     _girth_if_at_least_5,
     _min_hitting_set,
-    _square_gates,
-    _square_tables,
     _subset_tables,
     _tally,
     _total_cover_value,
@@ -66,46 +64,72 @@ def test_theorem_ids_closed_enumeration():
     ]
 
 
+def _extensions_of(n, edges):
+    """The scan's ``_Extensions`` of the graph with ``edges`` on the
+    vertices below w = n - 1."""
+    rows = Graph(n, edges).adj_masks[: n - 1]
+    return _extensions(rows, _subset_tables(n).meets, _subset_tables(n - 1))
+
+
+def _every_extension(n_max):
+    """Every labeled graph G with n <= n_max as (G, S, ``_Extensions`` of
+    H), where G = H + (w, S): H on the vertices below w = n - 1, and S the
+    neighbourhood of w."""
+    for n in range(1, n_max + 1):
+        for _, edges in edge_mask_graphs(n - 1):
+            ext = _extensions_of(n, edges)
+            for s in range(1 << (n - 1)):
+                w_edges = [(v, n - 1) for v in range(n - 1) if s >> v & 1]
+                yield Graph(n, edges + w_edges), s, ext
+
+
+def _cover_sets(g, s, ext, closed):
+    """The bitmap of the vertex sets of ``g`` that meet every open (or
+    closed) neighbourhood, from the half tables of ``ext``."""
+    hits, half = _subset_tables(g.n).meets, (g.n - 1) // 2
+    low, high = (ext.closed_low, ext.closed_high) if closed else (ext.open_low, ext.open_high)
+    return hits[s | closed << (g.n - 1)] & low[s & (1 << half) - 1] & high[s >> half]
+
+
 class TestScanAgreesWithSolvers:
     # the scan's bitmap covers against the exhaustive strategy, which shares
     # no code with them
     def test_min_hitting_set_is_gamma_on_every_graph_up_to_6(self):
-        for n in range(1, 7):
-            hits, layers = _subset_tables(n)
-            for _, edges in edge_mask_graphs(n):
-                g = Graph(n, edges)
-                closed = [a | 1 << v for v, a in enumerate(g.adj_masks)]
-                assert _min_hitting_set(closed, hits, layers) == (
-                    gamma(g, EXHAUSTIVE).value
-                ), edges
+        for g, s, ext in _every_extension(6):
+            layers = _subset_tables(g.n).layers
+            got = _min_hitting_set(_cover_sets(g, s, ext, closed=True), layers)
+            assert got == gamma(g, EXHAUSTIVE).value, list(g.edges())
 
     def test_total_cover_value_on_every_graph_up_to_6(self):
-        for n in range(2, 7):
-            hits, layers = _subset_tables(n)
-            for _, edges in edge_mask_graphs(n):
-                g = Graph(n, edges)
-                if g.isolated_mask():
-                    continue
-                assert _total_cover_value(g.adj_masks, hits, layers) == (
-                    gamma_t(g, EXHAUSTIVE).value
-                ), edges
+        for g, s, ext in _every_extension(6):
+            if g.isolated_mask():
+                continue
+            layers = _subset_tables(g.n).layers
+            got = _total_cover_value(_cover_sets(g, s, ext, closed=False), layers)
+            assert got == gamma_t(g, EXHAUSTIVE).value, list(g.edges())
 
     def test_total_cover_value_on_every_tree_up_to_7(self):
         for n in range(2, 8):
-            hits, layers = _subset_tables(n)
+            layers = _subset_tables(n).layers
             for seq in product(range(n), repeat=n - 2):
-                g = Graph(n, prufer_decode(seq, n))
-                assert _total_cover_value(g.adj_masks, hits, layers) == (
-                    gamma_t(g, EXHAUSTIVE).value
-                ), seq
+                edges = prufer_decode(seq, n)
+                g = Graph(n, edges)
+                ext = _extensions_of(n, [e for e in edges if n - 1 not in e])
+                sets = _cover_sets(g, g.adj_masks[n - 1], ext, closed=False)
+                assert _total_cover_value(sets, layers) == gamma_t(g, EXHAUSTIVE).value, seq
 
     def test_subset_tables_count_their_subsets(self):
-        # the subsets missing a are those of the other n - |a| vertices
-        for n in range(1, 8):
-            hits, layers = _subset_tables(n)
+        # 2^(n - |a|) subsets avoid a and the others meet it; 2^(n - |a|)
+        # hold a, and 2^|a| lie inside it
+        for n in range(0, 8):
+            tables = _subset_tables(n)
             for a in range(1 << n):
-                assert hits[a].bit_count() == 2**n - 2 ** (n - a.bit_count()), (n, a)
-            assert [layer.bit_count() for layer in layers] == [
+                k = a.bit_count()
+                assert tables.meets[a].bit_count() == 2**n - 2 ** (n - k), (n, a)
+                assert tables.contains[a].bit_count() == 2 ** (n - k), (n, a)
+                assert tables.inside[a].bit_count() == 2**k, (n, a)
+                assert tables.contains[a] >> a & 1 and tables.inside[a] >> a & 1, (n, a)
+            assert [layer.bit_count() for layer in tables.layers] == [
                 comb(n, k) for k in range(n + 1)
             ]
 
@@ -115,8 +139,8 @@ def _shift_gamma_t(monkeypatch, shift):
     the public solver as the class route calls it."""
     real_cover, real_gamma_t = verify_mod._total_cover_value, verify_mod.gamma_t
 
-    def cover(adj, hits, layers):
-        return real_cover(adj, hits, layers) + shift
+    def cover(sets, layers):
+        return real_cover(sets, layers) + shift
 
     def solver(g, config=None):
         res = real_gamma_t(g, config)
@@ -181,10 +205,10 @@ class TestClassRouteAgreesWithScan:
             (-1, {"n_over_delta_lower", "sandwich", "bipartite_extremal"}),
         ],
     )
-    def test_every_scan_claim_up_to_5(self, monkeypatch, shift, failing):
+    def test_every_scan_claim_up_to_6(self, monkeypatch, shift, failing):
         _shift_gamma_t(monkeypatch, shift)
-        scan = scan_bound_claims(range(1, 6), SCAN_CLAIMS, jobs=1)
-        classes = _tally(_class_domain(range(1, 6)), SCAN_CLAIMS)
+        scan = scan_bound_claims(range(1, 7), SCAN_CLAIMS, jobs=1)
+        classes = _tally(_class_domain(range(1, 7)), SCAN_CLAIMS)
         for claim in SCAN_CLAIMS:
             tally = classes[claim]
             assert (tally.instances, list(tally.counterexamples)) == scan[claim], claim
@@ -217,44 +241,48 @@ class TestClassRouteAgreesWithScan:
 
 @pytest.fixture(scope="class")
 def profiled_graphs_up_to_6() -> list:
-    """Every labeled graph with n <= 6, its structural profile and the
-    scan's square gates, (diameter <= 2, has a triangle)."""
-    out = []
-    for n in range(1, 7):
-        tables = _square_tables(n)
-        for _, edges in edge_mask_graphs(n):
-            g = Graph(n, edges)
-            packed = sum(a << (n * v) for v, a in enumerate(g.adj_masks))
-            gates = _square_gates(g.adj_masks, packed, *tables)
-            out.append((g, profile(g), gates))
-    return out
+    """Every labeled graph G = H + (w, S) with n <= 6 as (G, its structural
+    profile, S, the scan's ``_Extensions`` of H)."""
+    return [(g, profile(g), s, ext) for g, s, ext in _every_extension(6)]
 
 
 class TestScanGates:
-    # the scan's fast gates against the structural profile, on every
-    # labeled graph with n <= 6; the square gates, documented for graphs
-    # without isolated vertices, agree on the others too
+    # the scan's per-H gates against the structural profile of every labeled
+    # graph with n <= 6, isolated vertices included
+    def test_degrees_match_profile(self, profiled_graphs_up_to_6):
+        for g, prof, s, ext in profiled_graphs_up_to_6:
+            size = s.bit_count()
+            assert (s != 0 and s & ext.isolated == ext.isolated) == (not prof.isolated)
+            assert max(size, ext.dmax + (s & ext.top != 0)) == prof.max_degree
+            assert min(size, ext.dmin + (s & ext.bottom == ext.bottom)) == prof.min_degree
+
     def test_diameter_is_2_matches_profile(self, profiled_graphs_up_to_6):
-        for g, prof, (within_2, _) in profiled_graphs_up_to_6:
-            gate = within_2 and prof.min_degree < g.n - 1
+        for g, prof, s, ext in profiled_graphs_up_to_6:
+            gate = ext.within_2 >> s & 1 and prof.min_degree < g.n - 1
             assert gate == (prof.diameter == 2), list(g.edges())
 
     def test_triangle_matches_profile(self, profiled_graphs_up_to_6):
-        for g, prof, (_, triangle) in profiled_graphs_up_to_6:
-            assert triangle == (prof.girth == 3), list(g.edges())
+        for g, prof, s, ext in profiled_graphs_up_to_6:
+            assert ext.triangle >> s & 1 == (prof.girth == 3), list(g.edges())
 
     def test_within_distance_2_proves_connected(self, profiled_graphs_up_to_6):
-        for g, prof, (within_2, _) in profiled_graphs_up_to_6:
-            assert not within_2 or prof.is_connected, list(g.edges())
+        for g, prof, s, ext in profiled_graphs_up_to_6:
+            assert not ext.within_2 >> s & 1 or prof.is_connected, list(g.edges())
+
+    def test_connected_matches_profile(self, profiled_graphs_up_to_6):
+        for g, prof, s, ext in profiled_graphs_up_to_6:
+            assert ext.connected >> s & 1 == prof.is_connected, list(g.edges())
+
+    def test_bipartite_matches_profile(self, profiled_graphs_up_to_6):
+        for g, prof, s, ext in profiled_graphs_up_to_6:
+            assert ext.bipartite >> s & 1 == (prof.bipartition is not None), list(g.edges())
 
     def test_girth_if_at_least_5_matches_profile(self, profiled_graphs_up_to_6):
-        for g, prof, _ in profiled_graphs_up_to_6:
-            deg = g.degrees()
-            if min(deg) < 2:
+        for g, prof, _, _ in profiled_graphs_up_to_6:
+            if prof.min_degree < 2 or prof.girth == 3:
                 continue
-            girth = prof.girth
-            expected = girth if girth != INFINITE and girth >= 5 else None
-            assert _girth_if_at_least_5(g.adj_masks, g.n, deg) == expected, list(g.edges())
+            expected = prof.girth if prof.girth >= 5 else None
+            assert _girth_if_at_least_5(g.adj_masks, g.n) == expected, list(g.edges())
 
 
 class TestScan:
