@@ -26,7 +26,7 @@ from .graph import (
     read_edge_list,
     write_edge_list,
 )
-from .verify import TheoremId, sweep, sweep_csv, verify
+from .verify import TheoremId, shared_domains, sweep, sweep_csv, verify
 
 # keys a --config file may set: the long flags, with '_' for '-'
 _CONFIG_KEYS = frozenset(
@@ -308,7 +308,8 @@ def _cmd_verify(args) -> int:
             raise ToolkitError(
                 f"unknown theorem {args.theorem!r}; try 'verify --list'"
             ) from None
-    reports = [verify(t, scale=args.scale, jobs=args.jobs) for t in ids]
+    with shared_domains(ids):
+        reports = [verify(t, scale=args.scale, jobs=args.jobs) for t in ids]
     if args.format == "json":
         print(
             json.dumps(

@@ -11,7 +11,8 @@ The graph claims have two routes, by design:
   relabelling, so it is evaluated once per isomorphism class
   (``families.isomorphism_classes``) through the public API (``profile``,
   ``all_bounds``, ``gamma_t``, ``gamma``, ``recognize_star_plus_matching``)
-  and counted n!/|Aut| times; a failing class expands into every labeling;
+  and counted n!/|Aut| times, in one pass for all the graph claims of a
+  verify run (``shared_domains``); a failing class expands into every labeling;
 * the labeled scan, ``scan_bound_claims``: a walk over every labeled graph
   as a graph H on the first n - 1 vertices plus the neighbourhood of the
   last one, with its own gates and covers, worked out once per H as
@@ -28,6 +29,7 @@ import json
 import multiprocessing
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -108,8 +110,8 @@ class VerificationReport:
         return "PASS" if not self.counterexamples else "FAIL"
 
     def stats(self) -> dict:
-        """The fields ``--stats`` adds: elapsed milliseconds, and the class
-        and tightness counts where the claim has them."""
+        """The fields ``--stats`` adds: elapsed milliseconds (a domain that claims
+        share is charged to the first that needs it), and class and tightness counts."""
         out = {"elapsed_ms": int(self.elapsed_seconds * 1000)}
         if self.classes is not None:
             out["classes"] = self.classes
@@ -627,26 +629,38 @@ def _spec_domain(specs: Iterable[FamilySpec]) -> Iterator:
         yield generate(spec), 1, spec
 
 
-# claims whose class domain is extended by the seeded random graphs
+# One evaluation per domain, for all the claims that read it, into a store keyed
+# by the domain: the random graphs' by their specs, kept for the process so that
+# a warm pass does not solve them again; the classes' by n_max, for one verify run.
 _RANDOM_GRAPH_CLAIMS = ("connected_upper", "diam2_upper", "girth_upper")
+_random_graph_tallies: dict[tuple[FamilySpec, ...], dict[str, _Tally]] = {}
+_shared: list[tuple[list[str], dict]] = []  # the open runs' graph claims and class stores
 
 
-@lru_cache(maxsize=1)
-def _random_graph_results(specs: tuple[FamilySpec, ...]) -> dict[str, _Tally]:
-    """The random-graph claims over ``specs``: one pass generates, profiles
-    and solves each graph once for all three rows, and keeps only the results."""
-    return _tally(_spec_domain(specs), _RANDOM_GRAPH_CLAIMS)
+@contextmanager
+def shared_domains(theorems: Iterable[TheoremId]) -> Iterator[None]:
+    """A verify run: within the block, the graph claims among ``theorems`` share
+    one evaluation of each class domain, charged to the first that needs it."""
+    _shared.append(([t.value for t in theorems if t.value in SCAN_CLAIMS], {}))
+    try:
+        yield
+    finally:
+        _shared.pop()
 
 
 def _graph_row(graphs: str, claim: str, scale: str) -> _Row:
     n_max = 6 if scale == "quick" else 7
     domain = graphs.format(n_max)
     domain += ", one isomorphism class at a time, weighted by its labelings"
+    claims, tallies = _shared[-1] if _shared and claim in _shared[-1][0] else ([claim], {})
+    tallies[n_max] = tallies.get(n_max) or _tally(_class_domain(range(1, n_max + 1)), claims)
     extra = []
     if claim in _RANDOM_GRAPH_CLAIMS:
         domain += ", plus 500 seeded random graphs on n <= 16"
-        extra.append(_random_graph_results(tuple(random_graph_specs()))[claim])
-    return domain, _tally(_class_domain(range(1, n_max + 1)), [claim])[claim], extra
+        specs, memo = tuple(random_graph_specs()), _random_graph_tallies
+        memo[specs] = memo.get(specs) or _tally(_spec_domain(specs), _RANDOM_GRAPH_CLAIMS)
+        extra.append(memo[specs][claim])
+    return domain, tallies[n_max][claim], extra
 
 
 def _tree_star_row(claim: str, scale: str) -> _Row:
@@ -704,8 +718,8 @@ _ROWS = {
 
 
 def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> VerificationReport:
-    """Run one claim over its verification domain. Every domain is
-    evaluated in-process, so ``jobs`` is accepted and not used."""
+    """Run one claim over its verification domain, sharing the class tallies
+    of the open run. Every domain is evaluated in-process: ``jobs`` is unused."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     t0 = time.perf_counter()
@@ -724,7 +738,8 @@ def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> Verificat
 
 
 def verify_all(scale: str = "quick", jobs: int = 1) -> list[VerificationReport]:
-    return [verify(t, scale, jobs) for t in TheoremId]
+    with shared_domains(TheoremId):
+        return [verify(t, scale, jobs) for t in TheoremId]
 
 
 # -- sweeps ---------------------------------------------------------------------

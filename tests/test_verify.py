@@ -23,8 +23,10 @@ from totaldom import (
     sweep,
     sweep_csv,
     verify,
+    verify_all,
 )
 from totaldom.bounds import path_cycle_formula
+from totaldom.cli import main as cli_main
 from totaldom.families import isomorphism_classes, labelings, prufer_decode
 from totaldom.verify import (
     SCAN_CLAIMS,
@@ -38,6 +40,7 @@ from totaldom.verify import (
     _tally,
     _total_cover_value,
     random_graph_specs,
+    shared_domains,
 )
 
 from conftest import edge_mask_graphs
@@ -148,6 +151,9 @@ def _shift_gamma_t(monkeypatch, shift):
 
     monkeypatch.setattr(verify_mod, "_total_cover_value", cover)
     monkeypatch.setattr(verify_mod, "gamma_t", solver)
+    # the random-graph tallies are kept by their specs alone: the shifted
+    # solver fills a store of its own, empty on entry and dropped on teardown
+    monkeypatch.setattr(verify_mod, "_random_graph_tallies", {})
 
 
 class TestIsomorphismClasses:
@@ -414,8 +420,6 @@ class TestVerifyArms:
         json.dumps(with_elapsed)
 
     def test_verify_all_runs_every_claim_in_order(self):
-        from totaldom import verify_all
-
         reports = verify_all("quick", jobs=2)
         assert [r.theorem for r in reports] == list(TheoremId)
         assert all(r.verdict == "PASS" for r in reports)
@@ -443,6 +447,8 @@ class TestVerifyArms:
         monkeypatch.setattr(
             verify_mod, "random_graph_specs", lambda: [FamilySpec.parse("cycle:n=5")]
         )
+        # the random-graph tallies of the lowered bounds are not kept
+        monkeypatch.setattr(verify_mod, "_random_graph_tallies", {})
         r = verify(theorem, "quick")
         # the class route reads the same lowered bounds and fails too; the
         # random-graph records are the ones naming a family
@@ -459,6 +465,54 @@ class TestVerifyArms:
             elapsed_seconds=0.0,
         )
         assert r.verdict == "FAIL"
+
+
+def _without_time(reports):
+    return [dataclasses.replace(r, elapsed_seconds=0.0) for r in reports]
+
+
+class TestSharedDomains:
+    graph_claims = [TheoremId(c) for c in SCAN_CLAIMS]
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_shared_run_equals_per_claim_runs(self, monkeypatch, shift):
+        # an unshifted run first: had its class tallies outlived it, the
+        # shifted run below would read them and report no failure
+        with shared_domains(TheoremId):
+            assert all(verify(t, "quick").verdict == "PASS" for t in self.graph_claims)
+        _shift_gamma_t(monkeypatch, shift)
+        alone = [verify(t, "quick") for t in self.graph_claims]
+        with shared_domains(TheoremId):
+            shared = [verify(t, "quick") for t in self.graph_claims]
+        # every field but the time, the counterexamples of +1 included
+        assert _without_time(shared) == _without_time(alone)
+        failing = {r.theorem.value for r in shared if r.counterexamples}
+        assert failing == (set(SCAN_CLAIMS) - {"n_over_delta_lower"} if shift else set())
+        # the random graphs, solved unshifted by the first run, are solved shifted
+        random_failing = {
+            r.theorem.value
+            for r in shared
+            if any("family" in c["instance"] for c in r.counterexamples)
+        }
+        assert random_failing == ({"connected_upper", "diam2_upper"} if shift else set())
+
+    def test_each_run_evaluates_each_class_domain_once(self, monkeypatch):
+        real, calls = verify_mod._class_domain, []
+
+        def counted(n_values, trees=False):
+            calls.append((list(n_values), trees))
+            return real(n_values, trees)
+
+        monkeypatch.setattr(verify_mod, "_class_domain", counted)
+        graphs, trees = (list(range(1, 7)), False), (list(range(2, 9)), True)
+        verify_all("quick")
+        assert cli_main(["verify", "--theorem", "all", "--format", "json"]) == 0
+        assert calls == [graphs, trees] * 2
+        calls.clear()
+        with shared_domains([TheoremId.SANDWICH]):
+            verify(TheoremId.SANDWICH, "quick")
+            verify(TheoremId.GIRTH_UPPER, "quick")  # not a claim of the run
+        assert calls == [graphs] * 2
 
 
 class TestRandomDomains:
