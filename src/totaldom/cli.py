@@ -308,7 +308,7 @@ def _cmd_verify(args) -> int:
             raise ToolkitError(
                 f"unknown theorem {args.theorem!r}; try 'verify --list'"
             ) from None
-    with shared_domains(ids):
+    with shared_domains():
         reports = [verify(t, scale=args.scale, jobs=args.jobs) for t in ids]
     if args.format == "json":
         print(

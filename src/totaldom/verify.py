@@ -11,8 +11,8 @@ The graph claims have two routes, by design:
   relabelling, so it is evaluated once per isomorphism class
   (``families.isomorphism_classes``) through the public API (``profile``,
   ``all_bounds``, ``gamma_t``, ``gamma``, ``recognize_star_plus_matching``)
-  and counted n!/|Aut| times, in one pass for all the graph claims of a
-  verify run (``shared_domains``); a failing class expands into every labeling;
+  and counted n!/|Aut| times, in one pass per verify run (``shared_domains``);
+  a failing class expands into every labeling;
 * the labeled scan, ``scan_bound_claims``: a walk over every labeled graph
   as a graph H on the first n - 1 vertices plus the neighbourhood of the
   last one, with its own gates and covers, worked out once per H as
@@ -21,6 +21,9 @@ The graph claims have two routes, by design:
   therefore sit in two places, ``bounds.all_bounds`` and
   ``_scan_labeled_chunk``; that is the point of the second route, not a
   duplicate to fold away.
+
+Every pass of either route checks all seven graph claims (``SCAN_CLAIMS``):
+the claims a caller names only choose what is reported.
 """
 
 from __future__ import annotations
@@ -345,12 +348,12 @@ def _extend(adj: Sequence[int], s: int) -> list[int]:
     return [a | w if s >> v & 1 else a for v, a in enumerate(adj)] + [s]
 
 
-def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
-    """Evaluate the requested claims on the labeled graphs on n vertices with
-    index i in [lo, hi): the graph H + (w, S) for the graph H with edge mask
+def _scan_labeled_chunk(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
+    """Evaluate ``SCAN_CLAIMS`` on the labeled graphs on n vertices with index
+    i in [lo, hi): the graph H + (w, S) for the graph H with edge mask
     i >> (n - 1) over ``vertex_pairs(n - 1)`` and S = i & (2^(n-1) - 1).
     Graphs with an isolated vertex are skipped, as every claim excludes them."""
-    n, lo, hi, claims = args
+    n, lo, hi = args
     m = n - 1
     w = 1 << m
     pairs = vertex_pairs(m)
@@ -359,23 +362,8 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
     half, low = m // 2, (1 << m // 2) - 1
     # the neighbourhoods S of w, nonempty, holding each mask of H's isolated vertices
     holding = [[s for s in range(1, w) if s & iso == iso] for iso in range(w)]
-    checked = {c: 0 for c in claims}
-    cex: dict[str, list[dict]] = {c: [] for c in claims}
-
-    want_a = "cockayne_upper" in claims
-    want_b = "connected_upper" in claims
-    want_low = "n_over_delta_lower" in claims
-    want_d2 = "diam2_upper" in claims
-    want_gi = "girth_upper" in claims
-    want_sw = "sandwich" in claims
-    want_bip = "bipartite_extremal" in claims
-    # the claims whose hypothesis is only "no isolated vertex"
-    always = [c for c in ("cockayne_upper", "n_over_delta_lower", "sandwich") if c in claims]
-    need_gt = bool(always)
-    want_dmin = want_d2 or want_gi
-
-    def total_cover(s):  # gamma_t of H + (w, S)
-        return _total_cover_value(hits[s] & open_low[s & low] & open_high[s >> half], layers)
+    checked = dict.fromkeys(SCAN_CLAIMS, 0)
+    cex: dict[str, list[dict]] = {c: [] for c in SCAN_CLAIMS}
 
     def fail(claim, s, detail):
         instance = _labeled_instance(_extend(adj, s))
@@ -389,60 +377,50 @@ def _scan_labeled_chunk(args) -> dict[str, tuple[int, list[dict]]]:
             triangle, within_2, connected, bipartite,
         ) = _extensions(adj, hits, sub)
         neighbourhoods = holding[isolated]
-        for claim in always:
+        # the claims whose hypothesis is only "no isolated vertex"
+        for claim in ("cockayne_upper", "n_over_delta_lower", "sandwich"):
             checked[claim] += len(neighbourhoods)
         for s in neighbourhoods:
             size = s.bit_count()
             delta_max = dmax + 1 if s & top else dmax
             if size > delta_max:
                 delta_max = size
-            gt = total_cover(s) if need_gt else -1
+            delta_min = dmin + 1 if s & bottom == bottom else dmin
+            if size < delta_min:
+                delta_min = size
+            s_low, s_high = s & low, s >> half
+            gt = _total_cover_value(hits[s] & open_low[s_low] & open_high[s_high], layers)
+            gam = _min_hitting_set(hits[s | w] & closed_low[s_low] & closed_high[s_high], layers)
 
-            if want_a and gt > n - delta_max + 1:
+            if gt > n - delta_max + 1:
                 fail("cockayne_upper", s, {"gamma_t": gt, "bound": n - delta_max + 1})
-            if want_low and gt * delta_max < n:  # gt < ceil(n / delta_max)
+            if delta_max < m and connected >> s & 1:
+                checked["connected_upper"] += 1
+                if gt > n - delta_max:
+                    fail("connected_upper", s, {"gamma_t": gt, "bound": n - delta_max})
+            if gt * delta_max < n:  # gt < ceil(n / delta_max)
                 fail("n_over_delta_lower", s, {"gamma_t": gt, "bound": -(-n // delta_max)})
-            if want_sw:
-                sets = hits[s | w] & closed_low[s & low] & closed_high[s >> half]
-                gam = _min_hitting_set(sets, layers)
-                if not gam <= gt <= 2 * gam:
-                    fail("sandwich", s, {"gamma": gam, "gamma_t": gt})
-            if want_bip and bipartite >> s & 1:
+            # diameter exactly 2: within distance 2 and not complete
+            if delta_min < m and within_2 >> s & 1:
+                checked["diam2_upper"] += 1
+                if gt > delta_min + 1:
+                    fail("diam2_upper", s, {"gamma_t": gt, "bound": delta_min + 1})
+            if delta_min >= 2 and not triangle >> s & 1:
+                girth = _girth_if_at_least_5(_extend(adj, s), n)
+                if girth is not None:
+                    checked["girth_upper"] += 1
+                    bound = n - (girth + 1) // 2 + 1
+                    if gt > bound:
+                        fail("girth_upper", s, {"gamma_t": gt, "girth": girth, "bound": bound})
+            if not gam <= gt <= 2 * gam:
+                fail("sandwich", s, {"gamma": gam, "gamma_t": gt})
+            if bipartite >> s & 1:
                 checked["bipartite_extremal"] += 1
-                if gt == -1:
-                    gt = total_cover(s)
                 extremal = gt == n - delta_max + 1
                 star = recognize_star_plus_matching(_graph(_extend(adj, s))) is not None
                 if extremal != star:
                     detail = {"gamma_t": gt, "extremal": extremal, "star_plus_matching": star}
                     fail("bipartite_extremal", s, detail)
-            if want_b and delta_max < m and connected >> s & 1:
-                checked["connected_upper"] += 1
-                if gt == -1:
-                    gt = total_cover(s)
-                if gt > n - delta_max:
-                    fail("connected_upper", s, {"gamma_t": gt, "bound": n - delta_max})
-            if not want_dmin:
-                continue
-            delta_min = dmin + 1 if s & bottom == bottom else dmin
-            if size < delta_min:
-                delta_min = size
-            # diameter exactly 2: within distance 2 and not complete
-            if want_d2 and delta_min < m and within_2 >> s & 1:
-                checked["diam2_upper"] += 1
-                if gt == -1:
-                    gt = total_cover(s)
-                if gt > delta_min + 1:
-                    fail("diam2_upper", s, {"gamma_t": gt, "bound": delta_min + 1})
-            if want_gi and delta_min >= 2 and not triangle >> s & 1:
-                girth = _girth_if_at_least_5(_extend(adj, s), n)
-                if girth is not None:
-                    checked["girth_upper"] += 1
-                    if gt == -1:
-                        gt = total_cover(s)
-                    bound = n - (girth + 1) // 2 + 1
-                    if gt > bound:
-                        fail("girth_upper", s, {"gamma_t": gt, "girth": girth, "bound": bound})
     return checked, cex
 
 
@@ -463,10 +441,10 @@ _SCAN_CHUNK = 1 << 15
 def scan_bound_claims(
     n_values: Iterable[int], claims: Sequence[str], jobs: int = 1
 ) -> dict[str, tuple[int, list[dict]]]:
-    """Evaluate bound claims over every labeled graph on each n. Returns
-    {claim: (instances_checked, sorted counterexamples)}. Raises
-    DomainTooLarge, before any chunk is built, for an n outside
-    1..ENUMERATION_MAX_N."""
+    """Evaluate ``SCAN_CLAIMS`` over every labeled graph on each n. Returns
+    {claim: (instances_checked, sorted counterexamples)} for ``claims``, in
+    their order. Raises DomainTooLarge, before any chunk is built, for an n
+    outside 1..ENUMERATION_MAX_N."""
     for c in claims:
         if c not in SCAN_CLAIMS:
             raise ValueError(f"unknown claim {c!r}")
@@ -477,7 +455,7 @@ def scan_bound_claims(
     for n in n_values:
         total = 1 << (n * (n - 1) // 2)
         for lo in range(0, total, _SCAN_CHUNK):
-            chunks.append((n, lo, min(lo + _SCAN_CHUNK, total), tuple(claims)))
+            chunks.append((n, lo, min(lo + _SCAN_CHUNK, total)))
     results = _run_chunked(_scan_labeled_chunk, chunks, jobs)
     merged: dict[str, tuple[int, list[dict]]] = {}
     for claim in claims:
@@ -500,7 +478,20 @@ class _Tally(NamedTuple):
     instances: int  # weighted: labelings of the graphs passing the hypothesis
     graphs: int  # graphs passing it: isomorphism classes on the class route
     tight: int  # weighted instances at which the claim's bound is attained
-    counterexamples: tuple[dict, ...]  # sorted by _cex_sort_key
+    failures: tuple[tuple[Graph, FamilySpec | None, dict], ...]  # (graph, spec, detail)
+
+    @property
+    def counterexamples(self) -> list[dict]:
+        """One record per failing instance, sorted by _cex_sort_key: its family, or
+        every labeling of a class (spec None). Built on reading, not in the pass."""
+        records = []
+        for g, spec, detail in self.failures:
+            if spec is None:
+                instances = map(_labeled_instance, labelings(g.adj_masks))
+            else:
+                instances = [{"family": str(spec)}]
+            records.extend({"instance": i, "detail": dict(detail)} for i in instances)
+        return sorted(records, key=_cex_sort_key)
 
 
 # what a check returns: claim -> (bound attained, counterexample detail or None)
@@ -521,15 +512,9 @@ def _evaluate(g: Graph, claims: Sequence[str], spec: FamilySpec | None) -> _Resu
     if prof.isolated:  # every claim's hypothesis excludes isolated vertices
         return {}
     reports = {r.bound: r for r in all_bounds(g, prof=prof)}
-    claims = [
-        c
-        for c in claims
-        if (
-            reports[c].applicable
-            if c in reports
-            else c != "bipartite_extremal" or prof.bipartition is not None
-        )
-    ]
+    applies = {c: r.applicable for c, r in reports.items()}
+    applies["bipartite_extremal"] = prof.bipartition is not None
+    claims = [c for c in claims if applies.get(c, True)]
     if not claims:
         return {}
     try:
@@ -596,8 +581,7 @@ def _closed_form(g: Graph, claims: Sequence[str], spec: FamilySpec) -> _Results:
 
 def _tally(domain: Iterable, claims: Sequence[str], check=_evaluate) -> dict[str, _Tally]:
     """Evaluate ``claims`` with ``check`` on every ``(graph, weight, spec)``
-    of ``domain``. A failing graph adds one record per instance: its family,
-    or every labeling of an isomorphism class (spec None)."""
+    of ``domain``."""
     acc = {c: [0, 0, 0, []] for c in claims}  # the fields of _Tally
     for g, weight, spec in domain:
         for claim, (tight, detail) in check(g, claims, spec).items():
@@ -606,15 +590,8 @@ def _tally(domain: Iterable, claims: Sequence[str], check=_evaluate) -> dict[str
             a[1] += 1
             a[2] += weight if tight else 0
             if detail is not None:
-                if spec is None:
-                    instances = map(_labeled_instance, labelings(g.adj_masks))
-                else:
-                    instances = [{"family": str(spec)}]
-                a[3].extend({"instance": i, "detail": dict(detail)} for i in instances)
-    return {
-        c: _Tally(a[0], a[1], a[2], tuple(sorted(a[3], key=_cex_sort_key)))
-        for c, a in acc.items()
-    }
+                a[3].append((g, spec, detail))
+    return {c: _Tally(a[0], a[1], a[2], tuple(a[3])) for c, a in acc.items()}
 
 
 def _class_domain(n_values: Iterable[int], trees: bool = False) -> Iterator:
@@ -629,19 +606,19 @@ def _spec_domain(specs: Iterable[FamilySpec]) -> Iterator:
         yield generate(spec), 1, spec
 
 
-# One evaluation per domain, for all the claims that read it, into a store keyed
-# by the domain: the random graphs' by their specs, kept for the process so that
-# a warm pass does not solve them again; the classes' by n_max, for one verify run.
+# One evaluation per domain, for all the claims that read it. The random graphs'
+# tallies are kept for the process, filled on first use, so that a warm pass does
+# not solve them again; the classes' are kept by n_max for one verify run.
 _RANDOM_GRAPH_CLAIMS = ("connected_upper", "diam2_upper", "girth_upper")
-_random_graph_tallies: dict[tuple[FamilySpec, ...], dict[str, _Tally]] = {}
-_shared: list[tuple[list[str], dict]] = []  # the open runs' graph claims and class stores
+_random_graph_tallies: dict[str, _Tally] = {}
+_shared: list[dict[int, dict[str, _Tally]]] = []  # the open runs' class stores
 
 
 @contextmanager
-def shared_domains(theorems: Iterable[TheoremId]) -> Iterator[None]:
-    """A verify run: within the block, the graph claims among ``theorems`` share
-    one evaluation of each class domain, charged to the first that needs it."""
-    _shared.append(([t.value for t in theorems if t.value in SCAN_CLAIMS], {}))
+def shared_domains() -> Iterator[None]:
+    """A verify run: within the block, the graph claims share one evaluation
+    of each class domain, charged to the first that needs it."""
+    _shared.append({})
     try:
         yield
     finally:
@@ -652,14 +629,16 @@ def _graph_row(graphs: str, claim: str, scale: str) -> _Row:
     n_max = 6 if scale == "quick" else 7
     domain = graphs.format(n_max)
     domain += ", one isomorphism class at a time, weighted by its labelings"
-    claims, tallies = _shared[-1] if _shared and claim in _shared[-1][0] else ([claim], {})
-    tallies[n_max] = tallies.get(n_max) or _tally(_class_domain(range(1, n_max + 1)), claims)
+    tallies = _shared[-1] if _shared else {}
+    if n_max not in tallies:
+        tallies[n_max] = _tally(_class_domain(range(1, n_max + 1)), SCAN_CLAIMS)
     extra = []
     if claim in _RANDOM_GRAPH_CLAIMS:
         domain += ", plus 500 seeded random graphs on n <= 16"
-        specs, memo = tuple(random_graph_specs()), _random_graph_tallies
-        memo[specs] = memo.get(specs) or _tally(_spec_domain(specs), _RANDOM_GRAPH_CLAIMS)
-        extra.append(memo[specs][claim])
+        if not _random_graph_tallies:
+            specs = random_graph_specs()
+            _random_graph_tallies.update(_tally(_spec_domain(specs), _RANDOM_GRAPH_CLAIMS))
+        extra.append(_random_graph_tallies[claim])
     return domain, tallies[n_max][claim], extra
 
 
@@ -738,7 +717,7 @@ def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> Verificat
 
 
 def verify_all(scale: str = "quick", jobs: int = 1) -> list[VerificationReport]:
-    with shared_domains(TheoremId):
+    with shared_domains():
         return [verify(t, scale, jobs) for t in TheoremId]
 
 

@@ -298,6 +298,14 @@ class TestScan:
         b = scan_bound_claims(range(1, 6), claims, jobs=2)
         assert a == b
 
+    def test_claims_only_select_what_is_reported(self):
+        full = scan_bound_claims(range(1, 6), SCAN_CLAIMS, jobs=1)
+        for claim in SCAN_CLAIMS:
+            assert scan_bound_claims(range(1, 6), (claim,), jobs=1) == {claim: full[claim]}
+        reordered = ("sandwich", "girth_upper", "cockayne_upper")
+        got = scan_bound_claims(range(1, 6), reordered, jobs=1)
+        assert list(got.items()) == [(c, full[c]) for c in reordered]
+
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
             scan_bound_claims([3], ("unheard_of",))
@@ -478,11 +486,11 @@ class TestSharedDomains:
     def test_shared_run_equals_per_claim_runs(self, monkeypatch, shift):
         # an unshifted run first: had its class tallies outlived it, the
         # shifted run below would read them and report no failure
-        with shared_domains(TheoremId):
+        with shared_domains():
             assert all(verify(t, "quick").verdict == "PASS" for t in self.graph_claims)
         _shift_gamma_t(monkeypatch, shift)
         alone = [verify(t, "quick") for t in self.graph_claims]
-        with shared_domains(TheoremId):
+        with shared_domains():
             shared = [verify(t, "quick") for t in self.graph_claims]
         # every field but the time, the counterexamples of +1 included
         assert _without_time(shared) == _without_time(alone)
@@ -508,10 +516,15 @@ class TestSharedDomains:
         verify_all("quick")
         assert cli_main(["verify", "--theorem", "all", "--format", "json"]) == 0
         assert calls == [graphs, trees] * 2
+        # any two graph claims share the run's one pass; outside a run, each makes its own
         calls.clear()
-        with shared_domains([TheoremId.SANDWICH]):
+        with shared_domains():
             verify(TheoremId.SANDWICH, "quick")
-            verify(TheoremId.GIRTH_UPPER, "quick")  # not a claim of the run
+            verify(TheoremId.GIRTH_UPPER, "quick")
+        assert calls == [graphs]
+        calls.clear()
+        verify(TheoremId.SANDWICH, "quick")
+        verify(TheoremId.GIRTH_UPPER, "quick")
         assert calls == [graphs] * 2
 
 
