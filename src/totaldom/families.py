@@ -238,12 +238,11 @@ def _gen_star_plus_matching(spec: FamilySpec) -> Graph:
 
 
 def _gen_circular_complete(spec: FamilySpec) -> Graph:
-    # edge {i, j} iff d <= |i - j| <= n - d, with plain integer difference
+    # edge {i, j} iff d <= |i - j| <= n - d: N(i) is N(0) = {d, ..., n - d} rotated by i
     n, d = spec.n, spec.d
-    edges = [
-        (i, j) for i, j in combinations(range(n), 2) if d <= j - i <= n - d
-    ]
-    return Graph(n, edges)
+    full = (1 << n) - 1
+    base = ((1 << (n - 2 * d + 1)) - 1) << d
+    return Graph.from_masks([(base << i | base >> (n - i)) & full for i in range(n)])
 
 
 def _gen_random_graph(spec: FamilySpec) -> Graph:
@@ -517,7 +516,4 @@ def enumerate_labeled_graphs(n: int, graph_filter: str = "all") -> Iterator[Grap
     for mask in range(1 << len(pairs)):
         adj = adj_from_edge_mask(n, pairs, mask)
         if accept(adj, n):
-            g = Graph.__new__(Graph)
-            g.n = n
-            g.adj_masks = tuple(adj)
-            yield g
+            yield Graph.from_masks(adj)

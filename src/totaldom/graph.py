@@ -43,6 +43,14 @@ class Graph:
         self.n = n
         self.adj_masks = tuple(adj)
 
+    @classmethod
+    def from_masks(cls, adj: Sequence[int]) -> Graph:
+        """The graph with rows ``adj``, unchecked but for their number n: the
+        caller must supply symmetric, loop-free masks of n bits."""
+        g = cls(len(adj))
+        g.adj_masks = tuple(adj)
+        return g
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1

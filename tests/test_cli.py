@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from totaldom.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -184,6 +187,16 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--theorem", "path_cycle_formula")
         assert code == 0
         assert out == "PASS path_cycle_formula checked=36\n"
+
+    @pytest.mark.parametrize("fmt, golden", [("json", "json"), ("text", "txt")])
+    def test_all_quick_is_byte_identical_to_the_saved_output(self, capsys, fmt, golden):
+        # the saved stdout of `python -m totaldom verify --theorem all --scale
+        # quick --format FMT`: reports, counts and record order, byte for byte
+        code, out, _ = run(
+            capsys, "verify", "--theorem", "all", "--scale", "quick", "--format", fmt
+        )
+        assert code == 0
+        assert out.encode() == (DATA / f"verify_all_quick.{golden}").read_bytes()
 
     def test_list(self, capsys):
         code, out, _ = run(capsys, "verify", "--list")

@@ -12,6 +12,7 @@ from totaldom import (
     FamilySpec,
     Graph,
     InvalidFamily,
+    OutOfRange,
     SplitMix64,
     enumerate_labeled_graphs,
     generate,
@@ -109,6 +110,19 @@ class TestGenerators:
         order = [0, 3, 6, 2, 5, 1, 4]
         for a, b in zip(order, order[1:] + order[:1]):
             assert g.has_edge(a, b)
+
+    def test_circular_masks_equal_the_edge_list_up_to_48(self):
+        # the rotated-interval rows against the definition, on every d and
+        # 2d <= n <= 48: both verify grids and circular:n=10,d=3
+        for d in range(1, 25):
+            for n in range(2 * d, 49):
+                edges = [(i, j) for i, j in combinations(range(n), 2) if d <= j - i <= n - d]
+                got = generate(FamilySpec(kind=FamilyKind.CIRCULAR_COMPLETE, n=n, d=d))
+                assert got == Graph(n, edges), (n, d)
+
+    def test_circular_vertex_count_is_checked(self):
+        with pytest.raises(OutOfRange):
+            generate(spec("circular:n=65,d=3"))
 
     @pytest.mark.parametrize("n,d", [(n, d) for d in (1, 2, 3, 4, 5) for n in range(2 * d, 4 * d + 3)])
     def test_circular_regular_degree(self, n, d):

@@ -53,6 +53,24 @@ class TestConstruction:
         with pytest.raises(OutOfRange):
             new_graph(65, [])
 
+    def test_from_masks_equals_the_edge_list_graph_up_to_5(self):
+        for n in range(1, 6):
+            for _, edges in edge_mask_graphs(n):
+                rows = [0] * n
+                for u, v in edges:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                g, built = Graph(n, edges), Graph.from_masks(rows)
+                assert built == g and hash(built) == hash(g), edges
+                assert list(built.edges()) == list(g.edges()) == edges
+
+    def test_from_masks_checks_the_vertex_count(self):
+        with pytest.raises(OutOfRange):
+            Graph.from_masks([])
+        with pytest.raises(OutOfRange):
+            Graph.from_masks([0] * 65)
+        assert Graph.from_masks([0] * 64) == Graph(64)
+
     def test_duplicate_edges_collapse(self):
         g = new_graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1

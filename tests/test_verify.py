@@ -17,6 +17,7 @@ from totaldom import (
     VertexSet,
     gamma,
     gamma_t,
+    generate,
     parse_family_range,
     profile,
     scan_bound_claims,
@@ -39,7 +40,9 @@ from totaldom.verify import (
     _subset_tables,
     _tally,
     _total_cover_value,
+    _tree_star,
     random_graph_specs,
+    random_tree_specs,
     shared_domains,
 )
 
@@ -220,10 +223,10 @@ class TestClassRouteAgreesWithScan:
             assert (tally.instances, list(tally.counterexamples)) == scan[claim], claim
         assert {c for c in SCAN_CLAIMS if scan[c][1]} == failing
 
-    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("shift", [0, 1, -1])
     def test_tree_star_against_a_labeled_pruefer_walk_up_to_7(self, monkeypatch, shift):
         _shift_gamma_t(monkeypatch, shift)
-        count, cex = 0, []
+        count, stars, cex = 0, 0, []
         for n in range(2, 8):
             for seq in product(range(n), repeat=n - 2):
                 g = Graph(n, prufer_decode(seq, n))
@@ -231,6 +234,7 @@ class TestClassRouteAgreesWithScan:
                 delta = max(g.degrees())
                 extremal, star = gt == n - delta + 1, delta == n - 1
                 count += 1
+                stars += star
                 if extremal != star:
                     edges = [list(e) for e in g.edges()]
                     cex.append(
@@ -239,9 +243,30 @@ class TestClassRouteAgreesWithScan:
                             "detail": {"gamma_t": gt, "extremal": extremal, "star": star},
                         }
                     )
-        tally = _tally(_class_domain(range(2, 8), trees=True), ("tree_star",))["tree_star"]
+        trees = _class_domain(range(2, 8), trees=True)
+        tally = _tally(trees, ("tree_star",), _tree_star)["tree_star"]
         assert tally.instances == count
         assert list(tally.counterexamples) == sorted(cex, key=_cex_sort_key)
+        assert bool(cex) == bool(shift)
+        if shift == -1:  # a star's gamma_t of 1 misses its bound of 2: every star fails
+            assert len(cex) == stars and all(c["detail"]["star"] for c in cex)
+
+    @pytest.mark.parametrize("shift", [0, 1, -1])
+    def test_tree_star_random_trees_against_their_specs(self, monkeypatch, shift):
+        # the random-tree half of the claim, against a loop of its own
+        _shift_gamma_t(monkeypatch, shift)
+        cex = []
+        for spec in random_tree_specs():
+            g = generate(spec)
+            gt = verify_mod.gamma_t(g).value
+            delta = max(g.degrees())
+            extremal, star = gt == g.n - delta + 1, delta == g.n - 1
+            if extremal != star:
+                detail = {"gamma_t": gt, "extremal": extremal, "star": star}
+                cex.append({"instance": {"family": str(spec)}, "detail": detail})
+        _, _, (random_trees,) = verify_mod._tree_star_row("tree_star", "quick")
+        assert random_trees.instances == len(random_tree_specs())
+        assert random_trees.counterexamples == sorted(cex, key=_cex_sort_key)
         assert bool(cex) == bool(shift)
 
 
