@@ -13,10 +13,12 @@ The graph claims have two routes, by design:
   ``all_bounds``, ``gamma_t``, ``gamma``, ``recognize_star_plus_matching``)
   and counted n!/|Aut| times, in one pass per verify run (``shared_domains``);
   a failing class expands into every labeling;
-* the labeled scan, ``scan_bound_claims``: a walk over every labeled graph
-  as a graph H on the first n - 1 vertices plus the neighbourhood of the
-  last one, with its own gates and covers, worked out once per H as
-  bitmaps, and inline bound formulas. It is the independent oracle the
+* the labeled scan, ``scan_bound_claims``: every labeled graph is a graph H
+  on the first n - 1 vertices plus the neighbourhood S of the last one.
+  For each H the scan works out its own gates, degrees, gamma and gamma_t
+  for all S at once, as bitmaps over S, and checks the claims with bitmap
+  algebra and inline bound formulas; only girth and the star-plus-matching
+  shape are looked at graph by graph. It is the independent oracle the
   tests and the acceptance criteria compare against. The bound formulas
   therefore sit in two places, ``bounds.all_bounds`` and
   ``_scan_labeled_chunk``; that is the point of the second route, not a
@@ -38,7 +40,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import (
@@ -168,27 +171,26 @@ def random_tree_specs(
 # -- bitmap kernels of the labeled scan ----------------------------------------
 #
 # The scan builds every labeled graph G on n vertices once, as H + (w, S): a
-# graph H on the vertices below w = n - 1, joined to w by the neighbourhood S.
-# What depends on H alone is worked out once per H, as bitmaps over S (bit S
-# stands for the graph H + (w, S)) and as cover tables over the vertex sets D
-# of G (bit D stands for D), so that each graph costs a few bit tests and ANDs.
+# graph H on the m = n - 1 vertices below w = n - 1, joined to w by the
+# neighbourhood S. Everything is worked out once per H, as bitmaps over S: bit
+# S stands for the graph H + (w, S).
 
 
 class _SubsetTables(NamedTuple):
-    """Bitmaps over the vertex sets S of n vertices, one bit per S: bit S of
+    """Bitmaps over the vertex sets S of m vertices, one bit per S: bit S of
     ``meets[a]`` is set when S meets the mask a, of ``contains[a]`` when S
-    holds a, of ``inside[a]`` when S lies inside a, and of ``layers[k]``
-    when S has k members."""
+    holds a, and of ``at_most[k]`` when S has at most k members. ``sizes[k]``
+    lists the sets of k members."""
 
     meets: tuple[int, ...]
     contains: tuple[int, ...]
-    inside: tuple[int, ...]
-    layers: tuple[int, ...]
+    at_most: tuple[int, ...]
+    sizes: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _subset_tables(n: int) -> _SubsetTables:
-    subsets = range(1 << n)
+def _subset_tables(m: int) -> _SubsetTables:
+    subsets = range(1 << m)
 
     def bitmap(test) -> int:
         return sum(1 << s for s in subsets if test(s))
@@ -196,41 +198,62 @@ def _subset_tables(n: int) -> _SubsetTables:
     return _SubsetTables(
         tuple(bitmap(lambda s: s & a) for a in subsets),
         tuple(bitmap(lambda s: s & a == a) for a in subsets),
-        tuple(bitmap(lambda s: s & ~a == 0) for a in subsets),
-        tuple(bitmap(lambda s: s.bit_count() == k) for k in range(n + 1)),
+        tuple(bitmap(lambda s: s.bit_count() <= k) for k in range(m + 1)),
+        tuple(tuple(s for s in subsets if s.bit_count() == k) for k in range(m + 1)),
     )
 
 
-def _min_hitting_set(sets: int, layers: Sequence[int]) -> int:
-    """Size of the smallest vertex set among ``sets``, the bitmap of the sets
-    meeting every (closed) neighbourhood: gamma, or gamma_t from the open
-    neighbourhoods. The search runs upward from 1, never from a bound the
-    scan checks."""
-    k = 1
-    while not layers[k] & sets:  # IndexError when no set meets every mask
-        k += 1
-    return k
+def _neighbourhoods(adj: Sequence[int]) -> list[int]:
+    """N_H(D') for every set D' of the vertices of H, indexed by D'."""
+    table = [0]
+    for a in adj:  # by doubling: bit j of the index says whether vertex j is in D'
+        table += [x | a for x in table]
+    return table
 
 
-# gamma_t, under a name of its own so that it can be replaced apart from gamma
-_total_cover_value = _min_hitting_set
+def _cover_layers(nbrs: Sequence[int], sub: _SubsetTables, total: bool = False) -> list[int]:
+    """Cover layers of gamma, or of gamma_t if ``total``: [k] is the bitmap of
+    the S for which it is at most k on H + (w, S), k = 0..n.
+
+    A cover is D' or D' + w, D' a set of H's vertices (``nbrs[D']`` its
+    neighbourhood). With U the vertices of H that D' does not dominate, D' + w
+    covers iff S holds U and, for gamma_t, meets D'; D' alone iff U is empty
+    and S meets D'. The sets D' are taken by size up to k, the size of the
+    least D' with U empty: one vertex more joins any S != 0 to it, so every
+    S with a cover is in the layers from k + 1 on."""
+    full = len(nbrs) - 1
+    meets, contains = sub.meets, sub.contains
+    layers = [0]
+    for k, group in enumerate(sub.sizes):
+        reach = [nbrs[d] if total else nbrs[d] | d for d in group]
+        if full in reach:
+            layers[k] |= reduce(or_, [meets[d] for d, r in zip(group, reach) if r == full])
+            return layers + [meets[full] if total else contains[0]] * (len(sub.sizes) - k)
+        with_w = [contains[full ^ r] & (meets[d] if total else -1) for d, r in zip(group, reach)]
+        layers.append(layers[k] | reduce(or_, with_w))
+    return layers
+
+
+def _total_cover_layers(nbrs: Sequence[int], sub: _SubsetTables) -> list[int]:
+    """gamma_t's cover layers, by a name of their own so that they can be replaced."""
+    return _cover_layers(nbrs, sub, total=True)
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class _Extensions(NamedTuple):
     """What the graphs G = H + (w, S) share, for one graph H on the m = n - 1
-    vertices below w. G has no isolated vertex when S != 0 holds
-    ``isolated``; Delta(G) = max(|S|, ``dmax`` + [S meets ``top``]) and
-    delta(G) = min(|S|, ``dmin`` + [S holds ``bottom``]).
+    vertices below w, as bitmaps over S, bit S set when G has the property:
 
-    Covers: ``hits[S] & open_low[S & low] & open_high[S >> half]`` is the
-    bitmap of the vertex sets of G meeting every open neighbourhood, the
-    same with ``hits[S | w]`` and the closed tables every closed one, where
-    ``hits`` is ``_subset_tables(n).meets``, ``half = m // 2`` and ``low``
-    its mask: the open and closed neighbourhoods of the vertices below
-    ``half`` in G depend on S & low only, the others on S >> half only.
-
-    Gates, bit S set when G = H + (w, S) has the property:
-
+    * ``ok``: no isolated vertex;
+    * ``max_degree[d]``, ``min_degree[d]``: Delta(G) = d, delta(G) = d,
+      d = 0..m;
     * ``triangle``: H has a triangle, or S holds an edge of H;
     * ``within_2``, every two vertices at distance <= 2: S dominates H and
       holds every non-adjacent pair of H without a common neighbour;
@@ -238,49 +261,40 @@ class _Extensions(NamedTuple):
     * ``bipartite``: H is bipartite and, in each component, S lies inside
       one side."""
 
-    isolated: int
-    dmax: int
-    top: int
-    dmin: int
-    bottom: int
-    open_low: list[int]
-    open_high: list[int]
-    closed_low: list[int]
-    closed_high: list[int]
+    ok: int
+    max_degree: list[int]
+    min_degree: list[int]
     triangle: int
     within_2: int
     connected: int
     bipartite: int
 
 
-def _extensions(adj: Sequence[int], hits: Sequence[int], sub: _SubsetTables) -> _Extensions:
-    """The ``_Extensions`` of the graph H with rows ``adj``, from the cover
-    table ``hits`` of n = len(adj) + 1 vertices and the subset tables
-    ``sub`` of len(adj)."""
+def _extensions(adj: Sequence[int], sub: _SubsetTables) -> _Extensions:
+    """The ``_Extensions`` of the graph H with rows ``adj``, from the subset
+    tables ``sub`` of len(adj) vertices."""
     m = len(adj)
-    w = 1 << m
+    meets, contains = sub.meets, sub.contains
+    every = contains[0]
     deg = [a.bit_count() for a in adj]
     dmax, dmin = max(deg, default=0), min(deg, default=0)
 
     def having(degree: int) -> int:
-        return sum(1 << v for v, d in enumerate(deg) if d == degree)
+        return sum([1 << v for v, d in enumerate(deg) if d == degree])
 
-    def table(rows: Sequence[int]) -> list[int]:
-        # by doubling: bit j of the index says whether the vertex of rows[j] is in S
-        out = [-1]
-        for a in rows:
-            without, with_w = hits[a], hits[a | w]
-            out = [x & without for x in out] + [x & with_w for x in out]
-        return out
+    # Delta(G) is |S| or, if larger, dmax + 1 when S meets the vertices of degree dmax
+    # and dmax when not; delta(G) is |S| or, if smaller, dmin + 1 when S holds the
+    # vertices of degree dmin and dmin when not
+    rises, stays = meets[having(dmax)], contains[having(dmin)]
+    at_most = sub.at_most
+    max_at_most = (0,) * dmax + (at_most[dmax] & ~rises,) + at_most[dmax + 1 :]  # Delta(G) <= d
+    min_at_most = at_most[:dmin] + (every ^ (stays & ~at_most[dmin]),) + (every,) * (m - dmin)
+    max_degree = [b ^ a for a, b in zip((0, *max_at_most), max_at_most)]
+    min_degree = [b ^ a for a, b in zip((0, *min_at_most), min_at_most)]
 
-    closed = [a | 1 << v for v, a in enumerate(adj)]
-    half = m // 2
-
-    meets, contains, inside = sub.meets, sub.contains, sub.inside
-    every = contains[0]
     triangle, within_2 = 0, every
     for v in range(m):
-        within_2 &= meets[closed[v]]  # v within distance 2 of w
+        within_2 &= meets[adj[v] | 1 << v]  # v within distance 2 of w
         for u in range(v):
             pair = contains[1 << u | 1 << v]
             if adj[v] >> u & 1:  # an edge: a triangle of H, or one with w if S holds it
@@ -295,14 +309,10 @@ def _extensions(adj: Sequence[int], hits: Sequence[int], sub: _SubsetTables) -> 
     bipartite = 0
     if sides is not None:
         bipartite = every
-        for c in components:
-            rest = (w - 1) & ~c
-            bipartite &= inside[rest | sides[0] & c] | inside[rest | sides[1] & c]
-    return _Extensions(
-        having(0), dmax, having(dmax), dmin, having(dmin),
-        table(adj[:half]), table(adj[half:]), table(closed[:half]), table(closed[half:]),
-        triangle, within_2, connected, bipartite,
-    )
+        for c in components:  # S does not meet both sides of c
+            bipartite &= ~(meets[sides[0] & c] & meets[sides[1] & c])
+    ok = contains[having(0)] & ~1  # S holds H's isolated vertices, and S != 0 for w
+    return _Extensions(ok, max_degree, min_degree, triangle, within_2, connected, bipartite)
 
 
 def _girth_if_at_least_5(adj: Sequence[int], n: int) -> int | None:
@@ -351,13 +361,8 @@ def _scan_labeled_chunk(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
     Graphs with an isolated vertex are skipped, as every claim excludes them."""
     n, lo, hi = args
     m = n - 1
-    w = 1 << m
     pairs = vertex_pairs(m)
-    hits, _, _, layers = _subset_tables(n)
     sub = _subset_tables(m)
-    half, low = m // 2, (1 << m // 2) - 1
-    # the neighbourhoods S of w, nonempty, holding each mask of H's isolated vertices
-    holding = [[s for s in range(1, w) if s & iso == iso] for iso in range(w)]
     checked = dict.fromkeys(SCAN_CLAIMS, 0)
     cex: dict[str, list[dict]] = {c: [] for c in SCAN_CLAIMS}
 
@@ -365,58 +370,68 @@ def _scan_labeled_chunk(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
         instance = _labeled_instance(_extend(adj, s))
         cex[claim].append({"instance": instance, "detail": detail})
 
+    def value(layers, s):  # the least k whose layer holds S: Delta, delta, gamma_t or gamma
+        return next(k for k, layer in enumerate(layers) if layer >> s & 1)
+
     for h in range(lo >> m, hi >> m):
         adj = adj_from_edge_mask(m, pairs, h)
-        (
-            isolated, dmax, top, dmin, bottom,
-            open_low, open_high, closed_low, closed_high,
-            triangle, within_2, connected, bipartite,
-        ) = _extensions(adj, hits, sub)
-        neighbourhoods = holding[isolated]
+        ok, max_degree, min_degree, triangle, within_2, connected, bipartite = (
+            _extensions(adj, sub)
+        )
+        if not ok:  # n = 1: the one graph is a single isolated vertex
+            continue
+        nbrs = _neighbourhoods(adj)
+        gts, gams = _total_cover_layers(nbrs, sub), _cover_layers(nbrs, sub)
+        # the last layer holds every S with a cover: repeat it, so that any
+        # bound up to 2n (sandwich) has a layer, whatever the list's length
+        gts += gts[-1:] * (2 * n + 1 - len(gts))
+
+        joined = ok & connected & ~max_degree[m]  # connected, Delta < n - 1
+        diam2 = ok & within_2 & ~min_degree[m]  # diameter exactly 2: not complete
         # the claims whose hypothesis is only "no isolated vertex"
         for claim in ("cockayne_upper", "n_over_delta_lower", "sandwich"):
-            checked[claim] += len(neighbourhoods)
-        for s in neighbourhoods:
-            size = s.bit_count()
-            delta_max = dmax + 1 if s & top else dmax
-            if size > delta_max:
-                delta_max = size
-            delta_min = dmin + 1 if s & bottom == bottom else dmin
-            if size < delta_min:
-                delta_min = size
-            s_low, s_high = s & low, s >> half
-            gt = _total_cover_value(hits[s] & open_low[s_low] & open_high[s_high], layers)
-            gam = _min_hitting_set(hits[s | w] & closed_low[s_low] & closed_high[s_high], layers)
-
-            if gt > n - delta_max + 1:
-                fail("cockayne_upper", s, {"gamma_t": gt, "bound": n - delta_max + 1})
-            if delta_max < m and connected >> s & 1:
-                checked["connected_upper"] += 1
-                if gt > n - delta_max:
-                    fail("connected_upper", s, {"gamma_t": gt, "bound": n - delta_max})
-            if gt * delta_max < n:  # gt < ceil(n / delta_max)
-                fail("n_over_delta_lower", s, {"gamma_t": gt, "bound": -(-n // delta_max)})
-            # diameter exactly 2: within distance 2 and not complete
-            if delta_min < m and within_2 >> s & 1:
-                checked["diam2_upper"] += 1
-                if gt > delta_min + 1:
-                    fail("diam2_upper", s, {"gamma_t": gt, "bound": delta_min + 1})
-            if delta_min >= 2 and not triangle >> s & 1:
-                girth = _girth_if_at_least_5(_extend(adj, s), n)
-                if girth is not None:
-                    checked["girth_upper"] += 1
-                    bound = n - (girth + 1) // 2 + 1
-                    if gt > bound:
-                        fail("girth_upper", s, {"gamma_t": gt, "girth": girth, "bound": bound})
-            if not gam <= gt <= 2 * gam:
-                fail("sandwich", s, {"gamma": gam, "gamma_t": gt})
-            if bipartite >> s & 1:
-                checked["bipartite_extremal"] += 1
-                extremal = gt == n - delta_max + 1
-                star = recognize_star_plus_matching(Graph.from_masks(_extend(adj, s))) is not None
-                if extremal != star:
-                    detail = {"gamma_t": gt, "extremal": extremal, "star_plus_matching": star}
-                    fail("bipartite_extremal", s, detail)
+            checked[claim] += ok.bit_count()
+        checked["connected_upper"] += joined.bit_count()
+        checked["diam2_upper"] += diam2.bit_count()
+        # the S where each claim fails, an OR over Delta (or delta) = d
+        cockayne = connected_fail = lower = diam2_fail = extremal = 0
+        for d in range(1, n):
+            top, low = max_degree[d], min_degree[d]  # Delta = d, delta = d
+            cockayne |= top & ~gts[n - d + 1]
+            connected_fail |= top & ~gts[n - d]
+            lower |= top & gts[-(-n // d) - 1]  # gamma_t < ceil(n / Delta)
+            diam2_fail |= low & ~gts[d + 1]
+            extremal |= top & gts[n - d + 1] & ~gts[n - d]  # gamma_t = n - Delta + 1
+        sandwich = 0
+        for k in range(n + 1):  # gamma_t <= k < gamma, or gamma <= k, 2k < gamma_t
+            sandwich |= gts[k] & ~gams[k] | gams[k] & ~gts[2 * k]
+        if ok & (cockayne | lower | sandwich) | joined & connected_fail | diam2 & diam2_fail:
+            for claim, bits, degrees, bound in (
+                ("cockayne_upper", ok & cockayne, max_degree, lambda d: n - d + 1),
+                ("connected_upper", joined & connected_fail, max_degree, lambda d: n - d),
+                ("n_over_delta_lower", ok & lower, max_degree, lambda d: -(-n // d)),
+                ("diam2_upper", diam2 & diam2_fail, min_degree, lambda d: d + 1),
+            ):
+                for s in _members(bits):
+                    detail = {"gamma_t": value(gts, s), "bound": bound(value(degrees, s))}
+                    fail(claim, s, detail)
+            for s in _members(ok & sandwich):
+                fail("sandwich", s, {"gamma": value(gams, s), "gamma_t": value(gts, s)})
+        for s in _members(ok & ~triangle & ~min_degree[1]):  # delta >= 2, no triangle
+            girth = _girth_if_at_least_5(_extend(adj, s), n)
+            if girth is not None:
+                checked["girth_upper"] += 1
+                b = n - (girth + 1) // 2 + 1
+                if not gts[b] >> s & 1:
+                    fail("girth_upper", s, {"gamma_t": value(gts, s), "girth": girth, "bound": b})
+        bipartite &= ok
+        checked["bipartite_extremal"] += bipartite.bit_count()
+        for s in _members(bipartite):
+            tight = extremal >> s & 1 == 1
+            star = recognize_star_plus_matching(Graph.from_masks(_extend(adj, s))) is not None
+            if tight != star:
+                detail = {"gamma_t": value(gts, s), "extremal": tight, "star_plus_matching": star}
+                fail("bipartite_extremal", s, detail)
     return checked, cex
 
 

@@ -1,8 +1,9 @@
 import dataclasses
 import importlib
 import json
-from itertools import product
-from math import comb
+from itertools import permutations, product
+from math import comb, factorial
+from typing import NamedTuple
 
 import pytest
 
@@ -34,12 +35,13 @@ from totaldom.verify import (
     SWEEP_COLUMNS,
     _cex_sort_key,
     _class_domain,
+    _cover_layers,
     _extensions,
     _girth_if_at_least_5,
-    _min_hitting_set,
+    _neighbourhoods,
     _subset_tables,
     _tally,
-    _total_cover_value,
+    _total_cover_layers,
     _tree_star,
     random_graph_specs,
     random_tree_specs,
@@ -70,89 +72,113 @@ def test_theorem_ids_closed_enumeration():
     ]
 
 
-def _extensions_of(n, edges):
-    """The scan's ``_Extensions`` of the graph with ``edges`` on the
-    vertices below w = n - 1."""
+class _PerH(NamedTuple):
+    """What the scan works out once per graph H: its ``_Extensions`` and
+    the cover layers of gamma_t and gamma over S."""
+
+    ext: object
+    gamma_t: list
+    gamma: list
+
+
+def _per_h(n, edges):
+    """The scan's ``_PerH`` of the graph with ``edges`` on the vertices
+    below w = n - 1."""
     rows = Graph(n, edges).adj_masks[: n - 1]
-    return _extensions(rows, _subset_tables(n).meets, _subset_tables(n - 1))
+    sub = _subset_tables(n - 1)
+    nbrs = _neighbourhoods(rows)
+    return _PerH(_extensions(rows, sub), _total_cover_layers(nbrs, sub), _cover_layers(nbrs, sub))
 
 
 def _every_extension(n_max):
-    """Every labeled graph G with n <= n_max as (G, S, ``_Extensions`` of
-    H), where G = H + (w, S): H on the vertices below w = n - 1, and S the
+    """Every labeled graph G with n <= n_max as (G, S, ``_PerH`` of H), where
+    G = H + (w, S): H on the vertices below w = n - 1, and S the
     neighbourhood of w."""
     for n in range(1, n_max + 1):
         for _, edges in edge_mask_graphs(n - 1):
-            ext = _extensions_of(n, edges)
+            per_h = _per_h(n, edges)
             for s in range(1 << (n - 1)):
                 w_edges = [(v, n - 1) for v in range(n - 1) if s >> v & 1]
-                yield Graph(n, edges + w_edges), s, ext
+                yield Graph(n, edges + w_edges), s, per_h
 
 
-def _cover_sets(g, s, ext, closed):
-    """The bitmap of the vertex sets of ``g`` that meet every open (or
-    closed) neighbourhood, from the half tables of ``ext``."""
-    hits, half = _subset_tables(g.n).meets, (g.n - 1) // 2
-    low, high = (ext.closed_low, ext.closed_high) if closed else (ext.open_low, ext.open_high)
-    return hits[s | closed << (g.n - 1)] & low[s & (1 << half) - 1] & high[s >> half]
+def _least_layer(layers, s):
+    """The least k whose cover layer holds S, None if none does."""
+    return next((k for k, layer in enumerate(layers) if layer >> s & 1), None)
 
 
 class TestScanAgreesWithSolvers:
-    # the scan's bitmap covers against the exhaustive strategy, which shares
+    # the scan's cover layers against the exhaustive strategy, which shares
     # no code with them
-    def test_min_hitting_set_is_gamma_on_every_graph_up_to_6(self):
-        for g, s, ext in _every_extension(6):
-            layers = _subset_tables(g.n).layers
-            got = _min_hitting_set(_cover_sets(g, s, ext, closed=True), layers)
-            assert got == gamma(g, EXHAUSTIVE).value, list(g.edges())
+    def test_cover_layers_give_gamma_on_every_graph_up_to_6(self):
+        for g, s, per_h in _every_extension(6):
+            assert _least_layer(per_h.gamma, s) == gamma(g, EXHAUSTIVE).value, list(g.edges())
 
-    def test_total_cover_value_on_every_graph_up_to_6(self):
-        for g, s, ext in _every_extension(6):
-            if g.isolated_mask():
-                continue
-            layers = _subset_tables(g.n).layers
-            got = _total_cover_value(_cover_sets(g, s, ext, closed=False), layers)
-            assert got == gamma_t(g, EXHAUSTIVE).value, list(g.edges())
+    def test_total_cover_layers_give_gamma_t_on_every_graph_up_to_6(self):
+        for g, s, per_h in _every_extension(6):
+            expected = None if g.isolated_mask() else gamma_t(g, EXHAUSTIVE).value
+            assert _least_layer(per_h.gamma_t, s) == expected, list(g.edges())
 
-    def test_total_cover_value_on_every_tree_up_to_7(self):
+    def test_total_cover_layers_give_gamma_t_on_every_tree_up_to_7(self):
         for n in range(2, 8):
-            layers = _subset_tables(n).layers
             for seq in product(range(n), repeat=n - 2):
-                edges = prufer_decode(seq, n)
-                g = Graph(n, edges)
-                ext = _extensions_of(n, [e for e in edges if n - 1 not in e])
-                sets = _cover_sets(g, g.adj_masks[n - 1], ext, closed=False)
-                assert _total_cover_value(sets, layers) == gamma_t(g, EXHAUSTIVE).value, seq
+                g = Graph(n, prufer_decode(seq, n))
+                h_rows = [a & ~(1 << n - 1) for a in g.adj_masks[: n - 1]]
+                layers = _total_cover_layers(_neighbourhoods(h_rows), _subset_tables(n - 1))
+                got = _least_layer(layers, g.adj_masks[n - 1])
+                assert got == gamma_t(g, EXHAUSTIVE).value, seq
+
+    def test_cover_layers_are_nested_up_to_n(self):
+        # layer n of gamma_t holds the S that leave no isolated vertex, that
+        # of gamma every S
+        for n in range(1, 7):
+            for _, edges in edge_mask_graphs(n - 1):
+                per_h = _per_h(n, edges)
+                for layers in (per_h.gamma_t, per_h.gamma):
+                    assert len(layers) == n + 1
+                    assert all(a & ~b == 0 for a, b in zip(layers, layers[1:])), edges
+                no_isolated = sum(
+                    1 << s
+                    for s in range(1 << (n - 1))
+                    if not Graph(n, edges + [(v, n - 1) for v in range(n - 1) if s >> v & 1])
+                    .isolated_mask()
+                )
+                assert per_h.gamma_t[n] == no_isolated, edges
+                assert per_h.gamma[n] == 2 ** 2 ** (n - 1) - 1, edges
 
     def test_subset_tables_count_their_subsets(self):
         # 2^(n - |a|) subsets avoid a and the others meet it; 2^(n - |a|)
-        # hold a, and 2^|a| lie inside it
+        # hold a
         for n in range(0, 8):
             tables = _subset_tables(n)
             for a in range(1 << n):
                 k = a.bit_count()
                 assert tables.meets[a].bit_count() == 2**n - 2 ** (n - k), (n, a)
                 assert tables.contains[a].bit_count() == 2 ** (n - k), (n, a)
-                assert tables.inside[a].bit_count() == 2**k, (n, a)
-                assert tables.contains[a] >> a & 1 and tables.inside[a] >> a & 1, (n, a)
-            assert [layer.bit_count() for layer in tables.layers] == [
-                comb(n, k) for k in range(n + 1)
+                assert tables.contains[a] >> a & 1, (n, a)
+            assert [bits.bit_count() for bits in tables.at_most] == [
+                sum(comb(n, j) for j in range(k + 1)) for k in range(n + 1)
+            ]
+            assert [list(group) for group in tables.sizes] == [
+                [a for a in range(1 << n) if a.bit_count() == k] for k in range(n + 1)
             ]
 
 
 def _shift_gamma_t(monkeypatch, shift):
-    """Make both routes see gamma_t + shift: the scan's bitmap cover and
-    the public solver as the class route calls it."""
-    real_cover, real_gamma_t = verify_mod._total_cover_value, verify_mod.gamma_t
+    """Make both routes see gamma_t + shift: the scan's cover layers, where
+    layer k of gamma_t + shift is layer k - shift of gamma_t, and the public
+    solver as the class route calls it."""
+    real_layers, real_gamma_t = verify_mod._total_cover_layers, verify_mod.gamma_t
 
-    def cover(sets, layers):
-        return real_cover(sets, layers) + shift
+    def layers(nbrs, sub):
+        real = real_layers(nbrs, sub)
+        return [0] * shift + real if shift >= 0 else real[-shift:]
 
     def solver(g, config=None):
         res = real_gamma_t(g, config)
         return None if res is None else dataclasses.replace(res, value=res.value + shift)
 
-    monkeypatch.setattr(verify_mod, "_total_cover_value", cover)
+    monkeypatch.setattr(verify_mod, "_total_cover_layers", layers)
     monkeypatch.setattr(verify_mod, "gamma_t", solver)
     # the random-graph tallies are kept by their specs alone: the shifted
     # solver fills a store of its own, empty on entry and dropped on teardown
@@ -175,6 +201,16 @@ class TestIsomorphismClasses:
             assert sum(w for _, w in isomorphism_classes(n)) == 2 ** (n * (n - 1) // 2)
         for n in range(2, 9):
             assert sum(w for _, w in isomorphism_classes(n, trees=True)) == n ** (n - 2)
+
+    def test_weights_count_the_automorphisms_up_to_6(self):
+        # n!/weight is |Aut|: the vertex orders that map every edge to an edge
+        for n in range(1, 7):
+            for adj, weight in isomorphism_classes(n):
+                edges = [(u, v) for v in range(n) for u in range(v) if adj[v] >> u & 1]
+                automorphisms = sum(
+                    all(adj[p[u]] >> p[v] & 1 for u, v in edges) for p in permutations(range(n))
+                )
+                assert automorphisms * weight == factorial(n), adj
 
     def test_labelings_partition_every_labeled_graph_up_to_5(self):
         for n in range(1, 6):
@@ -222,6 +258,20 @@ class TestClassRouteAgreesWithScan:
             tally = classes[claim]
             assert (tally.instances, list(tally.counterexamples)) == scan[claim], claim
         assert {c for c in SCAN_CLAIMS if scan[c][1]} == failing
+
+    def test_shifted_scan_reads_its_details_off_the_layers(self, monkeypatch):
+        # under a +1 shift, cockayne_upper fails on the graphs with n <= 5
+        # that attain its bound; each record gives the shifted gamma_t of its
+        # own graph and the bound n - Delta + 1
+        _shift_gamma_t(monkeypatch, 1)
+        count, records = scan_bound_claims(range(1, 6), ("cockayne_upper",))["cockayne_upper"]
+        assert 0 < len(records) < count
+        for record in records:
+            g = Graph(record["instance"]["n"], record["instance"]["edges"])
+            assert record["detail"] == {
+                "gamma_t": gamma_t(g, EXHAUSTIVE).value + 1,
+                "bound": g.n - max(g.degrees()) + 1,
+            }
 
     @pytest.mark.parametrize("shift", [0, 1, -1])
     def test_tree_star_against_a_labeled_pruefer_walk_up_to_7(self, monkeypatch, shift):
@@ -274,7 +324,7 @@ class TestClassRouteAgreesWithScan:
 def profiled_graphs_up_to_6() -> list:
     """Every labeled graph G = H + (w, S) with n <= 6 as (G, its structural
     profile, S, the scan's ``_Extensions`` of H)."""
-    return [(g, profile(g), s, ext) for g, s, ext in _every_extension(6)]
+    return [(g, profile(g), s, per_h.ext) for g, s, per_h in _every_extension(6)]
 
 
 class TestScanGates:
@@ -282,10 +332,11 @@ class TestScanGates:
     # graph with n <= 6, isolated vertices included
     def test_degrees_match_profile(self, profiled_graphs_up_to_6):
         for g, prof, s, ext in profiled_graphs_up_to_6:
-            size = s.bit_count()
-            assert (s != 0 and s & ext.isolated == ext.isolated) == (not prof.isolated)
-            assert max(size, ext.dmax + (s & ext.top != 0)) == prof.max_degree
-            assert min(size, ext.dmin + (s & ext.bottom == ext.bottom)) == prof.min_degree
+            assert ext.ok >> s & 1 == (not prof.isolated), list(g.edges())
+            assert len(ext.max_degree) == len(ext.min_degree) == g.n
+            for d in range(g.n):
+                assert ext.max_degree[d] >> s & 1 == (prof.max_degree == d), (d, list(g.edges()))
+                assert ext.min_degree[d] >> s & 1 == (prof.min_degree == d), (d, list(g.edges()))
 
     def test_diameter_is_2_matches_profile(self, profiled_graphs_up_to_6):
         for g, prof, s, ext in profiled_graphs_up_to_6:
