@@ -13,16 +13,17 @@ The graph claims have two routes, by design:
   ``all_bounds``, ``gamma_t``, ``gamma``, ``recognize_star_plus_matching``)
   and counted n!/|Aut| times, in one pass per verify run (``shared_domains``);
   a failing class expands into every labeling;
-* the labeled scan, ``scan_bound_claims``: every labeled graph is a graph H
-  on the first n - 1 vertices plus the neighbourhood S of the last one.
-  For each H the scan works out its own gates, degrees, gamma and gamma_t
-  for all S at once, as bitmaps over S, and checks the claims with bitmap
-  algebra and inline bound formulas; only girth and the star-plus-matching
-  shape are looked at graph by graph. It is the independent oracle the
-  tests and the acceptance criteria compare against. The bound formulas
-  therefore sit in two places, ``bounds.all_bounds`` and
-  ``_scan_labeled_chunk``; that is the point of the second route, not a
-  duplicate to fold away.
+* the labeled scan, ``scan_bound_claims``: every labeled graph is an index
+  whose bits are its edges, and the scan takes the indices a chunk at a
+  time. It works out degrees, gates, the star-plus-matching shape, gamma
+  and gamma_t for a whole chunk at once, bit-sliced: as bitmaps over the
+  chunk's graphs, one bit per graph. It checks the claims with bitmap
+  algebra and inline bound formulas; only girth is looked at graph by
+  graph. It uses no solver, ``profile`` or isomorphism code: it is the
+  independent oracle the tests and the acceptance criteria compare
+  against. The bound formulas therefore sit in two places,
+  ``bounds.all_bounds`` and ``_scan_labeled_chunk``; that is the point of
+  the second route, not a duplicate to fold away.
 
 Every pass of either route checks all seven graph claims (``SCAN_CLAIMS``):
 the claims a caller names only choose what is reported. The other domains
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from operator import or_
+from itertools import combinations
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import (
@@ -53,9 +55,11 @@ from .bounds import (
 )
 from .domination import SolverConfig, gamma, gamma_t, is_total_dominating
 from .errors import DomainTooLarge, ResourceExhausted, ToolkitError
-# prufer_decode and is_connected_masks are not called here: they stay
-# importable from this module, where perfbench's traced run wraps them and
-# counts their calls
+# prufer_decode, is_connected_masks and two_coloring_masks are not called
+# here (the scan works out connectivity and 2-colourings as bitmaps): they
+# stay importable from this module because perfbench's traced run wraps them
+# here, as it wraps recognize_star_plus_matching, and a wrap fails on a
+# missing name
 from .families import (
     ENUMERATION_MAX_N,
     SWEEP_BUDGET,
@@ -71,7 +75,6 @@ from .families import (
 )
 from .graph import (
     Graph,
-    component_masks,
     girth_masks,
     is_connected_masks,
     profile,
@@ -168,75 +171,48 @@ def random_tree_specs(
     ]
 
 
-# -- bitmap kernels of the labeled scan ----------------------------------------
+# -- bit-sliced kernel of the labeled scan -------------------------------------
 #
-# The scan builds every labeled graph G on n vertices once, as H + (w, S): a
-# graph H on the m = n - 1 vertices below w = n - 1, joined to w by the
-# neighbourhood S. Everything is worked out once per H, as bitmaps over S: bit
-# S stands for the graph H + (w, S).
+# Graph i on n vertices has the edge of pair t of ``_index_pairs(n)`` iff bit t
+# of i is set: first the pairs (v, w) of the last vertex w = n - 1, so that the
+# low n - 1 bits are its neighbourhood S, then the pairs of the graph H on the
+# vertices below w in ``vertex_pairs(n - 1)`` order. The scan takes the graphs
+# a chunk [lo, hi) at a time and works out each property for the whole chunk
+# at once, as a bitmap over it: bit j stands for graph lo + j.
 
 
-class _SubsetTables(NamedTuple):
-    """Bitmaps over the vertex sets S of m vertices, one bit per S: bit S of
-    ``meets[a]`` is set when S meets the mask a, of ``contains[a]`` when S
-    holds a, and of ``at_most[k]`` when S has at most k members. ``sizes[k]``
-    lists the sets of k members."""
-
-    meets: tuple[int, ...]
-    contains: tuple[int, ...]
-    at_most: tuple[int, ...]
-    sizes: tuple[tuple[int, ...], ...]
+def _index_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pair of each bit of a graph index on n vertices."""
+    return [(v, n - 1) for v in range(n - 1)] + vertex_pairs(n - 1)
 
 
 @lru_cache(maxsize=None)
-def _subset_tables(m: int) -> _SubsetTables:
-    subsets = range(1 << m)
-
-    def bitmap(test) -> int:
-        return sum(1 << s for s in subsets if test(s))
-
-    return _SubsetTables(
-        tuple(bitmap(lambda s: s & a) for a in subsets),
-        tuple(bitmap(lambda s: s & a == a) for a in subsets),
-        tuple(bitmap(lambda s: s.bit_count() <= k) for k in range(m + 1)),
-        tuple(tuple(s for s in subsets if s.bit_count() == k) for k in range(m + 1)),
-    )
+def _bit_patterns(width: int) -> tuple[int, ...]:
+    """Bitmaps over the j < ``width``, a power of two: [t] holds the j with
+    bit t set, for each t with 2^t < width."""
+    patterns, run = [], 1
+    while run < width:
+        # ``run`` zeros then ``run`` ones, repeated up to the width
+        repeat = ((1 << width) - 1) // ((1 << 2 * run) - 1)
+        patterns.append(((1 << run) - 1 << run) * repeat)
+        run *= 2
+    return tuple(patterns)
 
 
-def _neighbourhoods(adj: Sequence[int]) -> list[int]:
-    """N_H(D') for every set D' of the vertices of H, indexed by D'."""
-    table = [0]
-    for a in adj:  # by doubling: bit j of the index says whether vertex j is in D'
-        table += [x | a for x in table]
-    return table
-
-
-def _cover_layers(nbrs: Sequence[int], sub: _SubsetTables, total: bool = False) -> list[int]:
-    """Cover layers of gamma, or of gamma_t if ``total``: [k] is the bitmap of
-    the S for which it is at most k on H + (w, S), k = 0..n.
-
-    A cover is D' or D' + w, D' a set of H's vertices (``nbrs[D']`` its
-    neighbourhood). With U the vertices of H that D' does not dominate, D' + w
-    covers iff S holds U and, for gamma_t, meets D'; D' alone iff U is empty
-    and S meets D'. The sets D' are taken by size up to k, the size of the
-    least D' with U empty: one vertex more joins any S != 0 to it, so every
-    S with a cover is in the layers from k + 1 on."""
-    full = len(nbrs) - 1
-    meets, contains = sub.meets, sub.contains
-    layers = [0]
-    for k, group in enumerate(sub.sizes):
-        reach = [nbrs[d] if total else nbrs[d] | d for d in group]
-        if full in reach:
-            layers[k] |= reduce(or_, [meets[d] for d, r in zip(group, reach) if r == full])
-            return layers + [meets[full] if total else contains[0]] * (len(sub.sizes) - k)
-        with_w = [contains[full ^ r] & (meets[d] if total else -1) for d, r in zip(group, reach)]
-        layers.append(layers[k] | reduce(or_, with_w))
+def _cover_layers(covers: Sequence[int]) -> list[int]:
+    """Cover layers over the n vertices: [k] holds the graphs with a cover of
+    at most k vertices, k = 0..n, given ``covers[D]``, the graphs that the
+    vertex set D covers. A superset of a cover is a cover, so the sets of
+    exactly k vertices suffice."""
+    layers = [0] * len(covers).bit_length()
+    for d, bits in enumerate(covers):
+        layers[d.bit_count()] |= bits
     return layers
 
 
-def _total_cover_layers(nbrs: Sequence[int], sub: _SubsetTables) -> list[int]:
+def _total_cover_layers(covers: Sequence[int]) -> list[int]:
     """gamma_t's cover layers, by a name of their own so that they can be replaced."""
-    return _cover_layers(nbrs, sub, total=True)
+    return _cover_layers(covers)
 
 
 def _members(bits: int) -> Iterator[int]:
@@ -247,19 +223,19 @@ def _members(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-class _Extensions(NamedTuple):
-    """What the graphs G = H + (w, S) share, for one graph H on the m = n - 1
-    vertices below w, as bitmaps over S, bit S set when G has the property:
+class _Bitmaps(NamedTuple):
+    """The graphs of one chunk, as bitmaps over it, bit j set when graph
+    lo + j has the property:
 
     * ``ok``: no isolated vertex;
-    * ``max_degree[d]``, ``min_degree[d]``: Delta(G) = d, delta(G) = d,
-      d = 0..m;
-    * ``triangle``: H has a triangle, or S holds an edge of H;
-    * ``within_2``, every two vertices at distance <= 2: S dominates H and
-      holds every non-adjacent pair of H without a common neighbour;
-    * ``connected``: S meets every component of H;
-    * ``bipartite``: H is bipartite and, in each component, S lies inside
-      one side."""
+    * ``max_degree[d]``, ``min_degree[d]``: Delta = d, delta = d, d = 0..n - 1;
+    * ``triangle``: a triangle;
+    * ``within_2``: every two vertices at distance <= 2;
+    * ``connected``;
+    * ``bipartite``;
+    * ``star_plus_matching``: one star plus disjoint edges, no isolated vertex;
+    * ``gamma_t[k]``, ``gamma[k]``: gamma_t (where defined), gamma at most k,
+      k = 0..n."""
 
     ok: int
     max_degree: list[int]
@@ -268,51 +244,78 @@ class _Extensions(NamedTuple):
     within_2: int
     connected: int
     bipartite: int
+    star_plus_matching: int
+    gamma_t: list[int]
+    gamma: list[int]
 
 
-def _extensions(adj: Sequence[int], sub: _SubsetTables) -> _Extensions:
-    """The ``_Extensions`` of the graph H with rows ``adj``, from the subset
-    tables ``sub`` of len(adj) vertices."""
-    m = len(adj)
-    meets, contains = sub.meets, sub.contains
-    every = contains[0]
-    deg = [a.bit_count() for a in adj]
-    dmax, dmin = max(deg, default=0), min(deg, default=0)
+def _chunk_bitmaps(n: int, lo: int, hi: int) -> _Bitmaps:
+    """The ``_Bitmaps`` of the graphs on n vertices with index in [lo, hi),
+    a width that is a power of two and divides lo."""
+    width = hi - lo
+    full = (1 << width) - 1
+    patterns = _bit_patterns(width)
+    edge = [[0] * n for _ in range(n)]  # edge[u][v]: u and v are adjacent
+    for t, (u, v) in enumerate(_index_pairs(n)):
+        # a pattern for an index bit inside the chunk, all or none above it
+        edge[u][v] = edge[v][u] = patterns[t] if t < len(patterns) else full * (lo >> t & 1)
 
-    def having(degree: int) -> int:
-        return sum([1 << v for v, d in enumerate(deg) if d == degree])
+    # at_least[v][k]: v has at least k neighbours, k = 0..n, counted edge by edge
+    at_least = []
+    for v in range(n):
+        counts = [full]
+        for u in range(n):
+            if u != v:
+                x = edge[u][v]
+                counts.append(counts[-1] & x)
+                for k in range(len(counts) - 2, 0, -1):
+                    counts[k] |= counts[k - 1] & x
+        at_least.append(counts + [0])
+    max_at_least = [reduce(or_, c) for c in zip(*at_least)]  # Delta >= d
+    min_at_least = [reduce(and_, c) for c in zip(*at_least)]  # delta >= d
+    ok = min_at_least[1]
 
-    # Delta(G) is |S| or, if larger, dmax + 1 when S meets the vertices of degree dmax
-    # and dmax when not; delta(G) is |S| or, if smaller, dmin + 1 when S holds the
-    # vertices of degree dmin and dmin when not
-    rises, stays = meets[having(dmax)], contains[having(dmin)]
-    at_most = sub.at_most
-    max_at_most = (0,) * dmax + (at_most[dmax] & ~rises,) + at_most[dmax + 1 :]  # Delta(G) <= d
-    min_at_most = at_most[:dmin] + (every ^ (stays & ~at_most[dmin]),) + (every,) * (m - dmin)
-    max_degree = [b ^ a for a, b in zip((0, *max_at_most), max_at_most)]
-    min_degree = [b ^ a for a, b in zip((0, *min_at_most), min_at_most)]
+    # by doubling over the vertex sets D: meets[D] holds the graphs where D
+    # meets N(v). D totally dominates where it meets every N(v), and dominates
+    # where it meets N(v) for every v outside D. inside[X] holds the graphs
+    # with an edge inside X, built over the vertices so far.
+    total, dom, inside = [full] * (1 << n), [full] * (1 << n), [0]
+    for v in range(n):
+        meets = [0]
+        for u in range(n):
+            meets += meets if u == v else [x | edge[u][v] for x in meets]
+        inside += [a | b for a, b in zip(inside, meets)]
+        total = [a & b for a, b in zip(total, meets)]
+        dom = [a if d >> v & 1 else a & b for d, (a, b) in enumerate(zip(dom, meets))]
+    # a 2-colouring has vertex 0 on a side X with no edge inside X or V - X
+    rest = (1 << n) - 1
+    odd = reduce(and_, [inside[x] | inside[rest ^ x] for x in range(1, 1 << n, 2)])
 
-    triangle, within_2 = 0, every
-    for v in range(m):
-        within_2 &= meets[adj[v] | 1 << v]  # v within distance 2 of w
-        for u in range(v):
-            pair = contains[1 << u | 1 << v]
-            if adj[v] >> u & 1:  # an edge: a triangle of H, or one with w if S holds it
-                triangle = every if adj[u] & adj[v] else triangle | pair
-            elif not adj[u] & adj[v]:  # within distance 2 through w only
-                within_2 &= pair
-    components = component_masks(adj, m)
-    connected = every
-    for c in components:
-        connected &= meets[c]
-    sides = two_coloring_masks(adj, m)
-    bipartite = 0
-    if sides is not None:
-        bipartite = every
-        for c in components:  # S does not meet both sides of c
-            bipartite &= ~(meets[sides[0] & c] & meets[sides[1] & c])
-    ok = contains[having(0)] & ~1  # S holds H's isolated vertices, and S != 0 for w
-    return _Extensions(ok, max_degree, min_degree, triangle, within_2, connected, bipartite)
+    reach = [full] + [0] * (n - 1)  # reach[v]: a path joins v to vertex 0
+    for _ in range(n - 1):  # such a path has at most n - 1 edges
+        for v in range(1, n):
+            reach[v] |= reduce(or_, [reach[u] & edge[u][v] for u in range(n) if u != v])
+
+    within_2, triangle, centres = full, 0, 0
+    for u, v in combinations(range(n), 2):
+        common = reduce(or_, [edge[u][x] & edge[x][v] for x in range(n) if x not in (u, v)], 0)
+        within_2 &= edge[u][v] | common
+        triangle |= edge[u][v] & common
+        centres |= at_least[u][2] & at_least[v][2]  # two vertices of degree >= 2
+    # no vertex of degree 0 and at most one of degree >= 2: every component
+    # is a star, and all of them but that vertex's are single edges
+    return _Bitmaps(
+        ok,
+        [a ^ b for a, b in zip(max_at_least, max_at_least[1:])],
+        [a ^ b for a, b in zip(min_at_least, min_at_least[1:])],
+        triangle,
+        within_2,
+        reduce(and_, reach),
+        full ^ odd,
+        ok & ~centres,
+        _total_cover_layers(total),
+        _cover_layers(dom),
+    )
 
 
 def _girth_if_at_least_5(adj: Sequence[int], n: int) -> int | None:
@@ -348,91 +351,85 @@ SCAN_CLAIMS = (
 )
 
 
-def _extend(adj: Sequence[int], s: int) -> list[int]:
-    """The rows of H + (w, S), for H with rows ``adj`` and S = ``s``."""
-    w = 1 << len(adj)
-    return [a | w if s >> v & 1 else a for v, a in enumerate(adj)] + [s]
+# graphs per bitmap: narrower bitmaps pay more per-operation overhead, wider
+# ones raise the peak memory of the pool's workers
+_BITMAP_WIDTH = 1 << 13
 
 
 def _scan_labeled_chunk(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
     """Evaluate ``SCAN_CLAIMS`` on the labeled graphs on n vertices with index
-    i in [lo, hi): the graph H + (w, S) for the graph H with edge mask
-    i >> (n - 1) over ``vertex_pairs(n - 1)`` and S = i & (2^(n-1) - 1).
-    Graphs with an isolated vertex are skipped, as every claim excludes them."""
+    in [lo, hi), ``_BITMAP_WIDTH`` graphs at a time. Graphs with an isolated
+    vertex are skipped, as every claim excludes them."""
     n, lo, hi = args
-    m = n - 1
-    pairs = vertex_pairs(m)
-    sub = _subset_tables(m)
     checked = dict.fromkeys(SCAN_CLAIMS, 0)
     cex: dict[str, list[dict]] = {c: [] for c in SCAN_CLAIMS}
+    for start in range(lo, hi, _BITMAP_WIDTH):
+        _check_bitmaps(n, start, min(start + _BITMAP_WIDTH, hi), checked, cex)
+    return checked, cex
 
-    def fail(claim, s, detail):
-        instance = _labeled_instance(_extend(adj, s))
+
+def _check_bitmaps(n: int, lo: int, hi: int, checked: dict, cex: dict) -> None:
+    """Add the claims' checked counts and counterexamples on the graphs with
+    index in [lo, hi) to ``checked`` and ``cex``, from their ``_chunk_bitmaps``."""
+    ok, max_degree, min_degree, triangle, within_2, connected, bipartite, star, gts, gams = (
+        _chunk_bitmaps(n, lo, hi)
+    )
+    if not ok:  # n = 1: the one graph is a single isolated vertex
+        return
+    pairs = _index_pairs(n)
+
+    def fail(claim, j, detail):
+        instance = _labeled_instance(adj_from_edge_mask(n, pairs, lo + j))
         cex[claim].append({"instance": instance, "detail": detail})
 
-    def value(layers, s):  # the least k whose layer holds S: Delta, delta, gamma_t or gamma
-        return next(k for k, layer in enumerate(layers) if layer >> s & 1)
+    def value(layers, j):  # the least k whose layer holds graph j: Delta, delta, gamma_t or gamma
+        return next(k for k, layer in enumerate(layers) if layer >> j & 1)
 
-    for h in range(lo >> m, hi >> m):
-        adj = adj_from_edge_mask(m, pairs, h)
-        ok, max_degree, min_degree, triangle, within_2, connected, bipartite = (
-            _extensions(adj, sub)
-        )
-        if not ok:  # n = 1: the one graph is a single isolated vertex
-            continue
-        nbrs = _neighbourhoods(adj)
-        gts, gams = _total_cover_layers(nbrs, sub), _cover_layers(nbrs, sub)
-        # the last layer holds every S with a cover: repeat it, so that any
-        # bound up to 2n (sandwich) has a layer, whatever the list's length
-        gts += gts[-1:] * (2 * n + 1 - len(gts))
-
-        joined = ok & connected & ~max_degree[m]  # connected, Delta < n - 1
-        diam2 = ok & within_2 & ~min_degree[m]  # diameter exactly 2: not complete
-        # the claims whose hypothesis is only "no isolated vertex"
-        for claim in ("cockayne_upper", "n_over_delta_lower", "sandwich"):
-            checked[claim] += ok.bit_count()
-        checked["connected_upper"] += joined.bit_count()
-        checked["diam2_upper"] += diam2.bit_count()
-        # the S where each claim fails, an OR over Delta (or delta) = d
-        cockayne = connected_fail = lower = diam2_fail = extremal = 0
-        for d in range(1, n):
-            top, low = max_degree[d], min_degree[d]  # Delta = d, delta = d
-            cockayne |= top & ~gts[n - d + 1]
-            connected_fail |= top & ~gts[n - d]
-            lower |= top & gts[-(-n // d) - 1]  # gamma_t < ceil(n / Delta)
-            diam2_fail |= low & ~gts[d + 1]
-            extremal |= top & gts[n - d + 1] & ~gts[n - d]  # gamma_t = n - Delta + 1
-        sandwich = 0
-        for k in range(n + 1):  # gamma_t <= k < gamma, or gamma <= k, 2k < gamma_t
-            sandwich |= gts[k] & ~gams[k] | gams[k] & ~gts[2 * k]
-        if ok & (cockayne | lower | sandwich) | joined & connected_fail | diam2 & diam2_fail:
-            for claim, bits, degrees, bound in (
-                ("cockayne_upper", ok & cockayne, max_degree, lambda d: n - d + 1),
-                ("connected_upper", joined & connected_fail, max_degree, lambda d: n - d),
-                ("n_over_delta_lower", ok & lower, max_degree, lambda d: -(-n // d)),
-                ("diam2_upper", diam2 & diam2_fail, min_degree, lambda d: d + 1),
-            ):
-                for s in _members(bits):
-                    detail = {"gamma_t": value(gts, s), "bound": bound(value(degrees, s))}
-                    fail(claim, s, detail)
-            for s in _members(ok & sandwich):
-                fail("sandwich", s, {"gamma": value(gams, s), "gamma_t": value(gts, s)})
-        for s in _members(ok & ~triangle & ~min_degree[1]):  # delta >= 2, no triangle
-            girth = _girth_if_at_least_5(_extend(adj, s), n)
-            if girth is not None:
-                checked["girth_upper"] += 1
-                b = n - (girth + 1) // 2 + 1
-                if not gts[b] >> s & 1:
-                    fail("girth_upper", s, {"gamma_t": value(gts, s), "girth": girth, "bound": b})
-        bipartite &= ok
-        checked["bipartite_extremal"] += bipartite.bit_count()
-        for s in _members(bipartite):
-            tight = extremal >> s & 1 == 1
-            star = recognize_star_plus_matching(Graph.from_masks(_extend(adj, s))) is not None
-            if tight != star:
-                detail = {"gamma_t": value(gts, s), "extremal": tight, "star_plus_matching": star}
-                fail("bipartite_extremal", s, detail)
-    return checked, cex
+    # the last layer holds every graph with a cover: repeat it, so that any
+    # bound up to 2n (sandwich) has a layer, whatever the list's length
+    gts = gts + gts[-1:] * (2 * n + 1 - len(gts))
+    joined = ok & connected & ~max_degree[n - 1]  # connected, Delta < n - 1
+    diam2 = ok & within_2 & ~min_degree[n - 1]  # diameter exactly 2: not complete
+    # the claims whose hypothesis is only "no isolated vertex"
+    for claim in ("cockayne_upper", "n_over_delta_lower", "sandwich"):
+        checked[claim] += ok.bit_count()
+    checked["connected_upper"] += joined.bit_count()
+    checked["diam2_upper"] += diam2.bit_count()
+    # the graphs where each claim fails, an OR over Delta (or delta) = d
+    cockayne = connected_fail = lower = diam2_fail = extremal = 0
+    for d in range(1, n):
+        top, low = max_degree[d], min_degree[d]  # Delta = d, delta = d
+        cockayne |= top & ~gts[n - d + 1]
+        connected_fail |= top & ~gts[n - d]
+        lower |= top & gts[-(-n // d) - 1]  # gamma_t < ceil(n / Delta)
+        diam2_fail |= low & ~gts[d + 1]
+        extremal |= top & gts[n - d + 1] & ~gts[n - d]  # gamma_t = n - Delta + 1
+    sandwich = 0
+    for k in range(n + 1):  # gamma_t <= k < gamma, or gamma <= k, 2k < gamma_t
+        sandwich |= gts[k] & ~gams[k] | gams[k] & ~gts[2 * k]
+    for claim, bits, degrees, bound in (
+        ("cockayne_upper", ok & cockayne, max_degree, lambda d: n - d + 1),
+        ("connected_upper", joined & connected_fail, max_degree, lambda d: n - d),
+        ("n_over_delta_lower", ok & lower, max_degree, lambda d: -(-n // d)),
+        ("diam2_upper", diam2 & diam2_fail, min_degree, lambda d: d + 1),
+    ):
+        for j in _members(bits):
+            fail(claim, j, {"gamma_t": value(gts, j), "bound": bound(value(degrees, j))})
+    for j in _members(ok & sandwich):
+        fail("sandwich", j, {"gamma": value(gams, j), "gamma_t": value(gts, j)})
+    for j in _members(ok & ~triangle & ~min_degree[1]):  # delta >= 2, no triangle
+        girth = _girth_if_at_least_5(adj_from_edge_mask(n, pairs, lo + j), n)
+        if girth is not None:
+            checked["girth_upper"] += 1
+            b = n - (girth + 1) // 2 + 1
+            if not gts[b] >> j & 1:
+                fail("girth_upper", j, {"gamma_t": value(gts, j), "girth": girth, "bound": b})
+    bipartite &= ok
+    checked["bipartite_extremal"] += bipartite.bit_count()
+    for j in _members(bipartite & (extremal ^ star)):
+        tight, shape = extremal >> j & 1 == 1, star >> j & 1 == 1
+        detail = {"gamma_t": value(gts, j), "extremal": tight, "star_plus_matching": shape}
+        fail("bipartite_extremal", j, detail)
 
 
 def _run_chunked(worker: Callable, items: list, jobs: int) -> list:
@@ -446,6 +443,8 @@ def _run_chunked(worker: Callable, items: list, jobs: int) -> list:
         return pool.map(worker, items)
 
 
+# graphs per pool task: several bitmaps each, so that the parent process
+# gathers few results
 _SCAN_CHUNK = 1 << 15
 
 

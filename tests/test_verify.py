@@ -1,9 +1,8 @@
 import dataclasses
 import importlib
 import json
-from itertools import permutations, product
-from math import comb, factorial
-from typing import NamedTuple
+from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
@@ -27,7 +26,7 @@ from totaldom import (
     verify,
     verify_all,
 )
-from totaldom.bounds import path_cycle_formula
+from totaldom.bounds import path_cycle_formula, recognize_star_plus_matching
 from totaldom.cli import main as cli_main
 from totaldom.families import isomorphism_classes, labelings, prufer_decode
 from totaldom.verify import (
@@ -35,13 +34,11 @@ from totaldom.verify import (
     SWEEP_COLUMNS,
     _cex_sort_key,
     _class_domain,
-    _cover_layers,
-    _extensions,
+    _BITMAP_WIDTH,
+    _bit_patterns,
+    _chunk_bitmaps,
     _girth_if_at_least_5,
-    _neighbourhoods,
-    _subset_tables,
     _tally,
-    _total_cover_layers,
     _tree_star,
     random_graph_specs,
     random_tree_specs,
@@ -72,96 +69,77 @@ def test_theorem_ids_closed_enumeration():
     ]
 
 
-class _PerH(NamedTuple):
-    """What the scan works out once per graph H: its ``_Extensions`` and
-    the cover layers of gamma_t and gamma over S."""
-
-    ext: object
-    gamma_t: list
-    gamma: list
-
-
-def _per_h(n, edges):
-    """The scan's ``_PerH`` of the graph with ``edges`` on the vertices
-    below w = n - 1."""
-    rows = Graph(n, edges).adj_masks[: n - 1]
-    sub = _subset_tables(n - 1)
-    nbrs = _neighbourhoods(rows)
-    return _PerH(_extensions(rows, sub), _total_cover_layers(nbrs, sub), _cover_layers(nbrs, sub))
-
-
-def _every_extension(n_max):
-    """Every labeled graph G with n <= n_max as (G, S, ``_PerH`` of H), where
-    G = H + (w, S): H on the vertices below w = n - 1, and S the
-    neighbourhood of w."""
+def _every_graph(n_max):
+    """Every labeled graph G with n <= n_max as (G, the scan's ``_Bitmaps`` of
+    the chunk that holds it, G's bit j in them). Graph i on n vertices has the
+    edges (v, n - 1) for the bits v of its low n - 1 bits, and the edges of
+    mask i >> (n - 1) on the vertices below n - 1; the chunks are the scan's."""
     for n in range(1, n_max + 1):
-        for _, edges in edge_mask_graphs(n - 1):
-            per_h = _per_h(n, edges)
+        total = 2 ** (n * (n - 1) // 2)
+        width = min(_BITMAP_WIDTH, total)
+        chunks = [_chunk_bitmaps(n, lo, lo + width) for lo in range(0, total, width)]
+        for h, (_, edges) in enumerate(edge_mask_graphs(n - 1)):
             for s in range(1 << (n - 1)):
+                i = h << (n - 1) | s
                 w_edges = [(v, n - 1) for v in range(n - 1) if s >> v & 1]
-                yield Graph(n, edges + w_edges), s, per_h
+                yield Graph(n, edges + w_edges), chunks[i // width], i % width
 
 
-def _least_layer(layers, s):
-    """The least k whose cover layer holds S, None if none does."""
-    return next((k for k, layer in enumerate(layers) if layer >> s & 1), None)
+def _least_layer(layers, j):
+    """The least k whose cover layer holds graph j, None if none does."""
+    return next((k for k, layer in enumerate(layers) if layer >> j & 1), None)
 
 
 class TestScanAgreesWithSolvers:
     # the scan's cover layers against the exhaustive strategy, which shares
     # no code with them
     def test_cover_layers_give_gamma_on_every_graph_up_to_6(self):
-        for g, s, per_h in _every_extension(6):
-            assert _least_layer(per_h.gamma, s) == gamma(g, EXHAUSTIVE).value, list(g.edges())
+        for g, bitmaps, j in _every_graph(6):
+            assert _least_layer(bitmaps.gamma, j) == gamma(g, EXHAUSTIVE).value, list(g.edges())
 
     def test_total_cover_layers_give_gamma_t_on_every_graph_up_to_6(self):
-        for g, s, per_h in _every_extension(6):
+        for g, bitmaps, j in _every_graph(6):
             expected = None if g.isolated_mask() else gamma_t(g, EXHAUSTIVE).value
-            assert _least_layer(per_h.gamma_t, s) == expected, list(g.edges())
+            assert _least_layer(bitmaps.gamma_t, j) == expected, list(g.edges())
 
     def test_total_cover_layers_give_gamma_t_on_every_tree_up_to_7(self):
+        chunks = {}
         for n in range(2, 8):
+            # bit t of a graph's index is the edge pairs[t]
+            pairs = [(v, n - 1) for v in range(n - 1)] + list(combinations(range(n - 1), 2))
+            total = 2 ** len(pairs)
+            width = min(_BITMAP_WIDTH, total)
             for seq in product(range(n), repeat=n - 2):
                 g = Graph(n, prufer_decode(seq, n))
-                h_rows = [a & ~(1 << n - 1) for a in g.adj_masks[: n - 1]]
-                layers = _total_cover_layers(_neighbourhoods(h_rows), _subset_tables(n - 1))
-                got = _least_layer(layers, g.adj_masks[n - 1])
+                i = sum(1 << pairs.index(e) for e in g.edges())
+                lo = i - i % width
+                if (n, lo) not in chunks:
+                    chunks[n, lo] = _chunk_bitmaps(n, lo, lo + width).gamma_t
+                got = _least_layer(chunks[n, lo], i - lo)
                 assert got == gamma_t(g, EXHAUSTIVE).value, seq
 
     def test_cover_layers_are_nested_up_to_n(self):
-        # layer n of gamma_t holds the S that leave no isolated vertex, that
-        # of gamma every S
-        for n in range(1, 7):
-            for _, edges in edge_mask_graphs(n - 1):
-                per_h = _per_h(n, edges)
-                for layers in (per_h.gamma_t, per_h.gamma):
+        # n + 1 layers, each inside the next; layer n of gamma_t holds the
+        # graphs without an isolated vertex, that of gamma every graph
+        for n in range(1, 8):
+            total = 2 ** (n * (n - 1) // 2)
+            width = min(_BITMAP_WIDTH, total)
+            full = 2**width - 1
+            for lo in range(0, total, width):
+                bitmaps = _chunk_bitmaps(n, lo, lo + width)
+                for layers in (bitmaps.gamma_t, bitmaps.gamma):
                     assert len(layers) == n + 1
-                    assert all(a & ~b == 0 for a, b in zip(layers, layers[1:])), edges
-                no_isolated = sum(
-                    1 << s
-                    for s in range(1 << (n - 1))
-                    if not Graph(n, edges + [(v, n - 1) for v in range(n - 1) if s >> v & 1])
-                    .isolated_mask()
-                )
-                assert per_h.gamma_t[n] == no_isolated, edges
-                assert per_h.gamma[n] == 2 ** 2 ** (n - 1) - 1, edges
+                    assert all(0 <= a and a & ~b == 0 for a, b in zip(layers, layers[1:])), lo
+                assert bitmaps.gamma_t[n] == bitmaps.ok, (n, lo)
+                assert bitmaps.gamma[n] == full, (n, lo)
 
-    def test_subset_tables_count_their_subsets(self):
-        # 2^(n - |a|) subsets avoid a and the others meet it; 2^(n - |a|)
-        # hold a
-        for n in range(0, 8):
-            tables = _subset_tables(n)
-            for a in range(1 << n):
-                k = a.bit_count()
-                assert tables.meets[a].bit_count() == 2**n - 2 ** (n - k), (n, a)
-                assert tables.contains[a].bit_count() == 2 ** (n - k), (n, a)
-                assert tables.contains[a] >> a & 1, (n, a)
-            assert [bits.bit_count() for bits in tables.at_most] == [
-                sum(comb(n, j) for j in range(k + 1)) for k in range(n + 1)
+    def test_bit_patterns_hold_the_indices_with_their_bit(self):
+        for width in (1, 2, 4, 64, 1024):
+            expected = [
+                sum(1 << j for j in range(width) if j >> t & 1)
+                for t in range(width.bit_length() - 1)
             ]
-            assert [list(group) for group in tables.sizes] == [
-                [a for a in range(1 << n) if a.bit_count() == k] for k in range(n + 1)
-            ]
+            assert list(_bit_patterns(width)) == expected, width
 
 
 def _shift_gamma_t(monkeypatch, shift):
@@ -170,8 +148,8 @@ def _shift_gamma_t(monkeypatch, shift):
     solver as the class route calls it."""
     real_layers, real_gamma_t = verify_mod._total_cover_layers, verify_mod.gamma_t
 
-    def layers(nbrs, sub):
-        real = real_layers(nbrs, sub)
+    def layers(covers):
+        real = real_layers(covers)
         return [0] * shift + real if shift >= 0 else real[-shift:]
 
     def solver(g, config=None):
@@ -322,42 +300,48 @@ class TestClassRouteAgreesWithScan:
 
 @pytest.fixture(scope="class")
 def profiled_graphs_up_to_6() -> list:
-    """Every labeled graph G = H + (w, S) with n <= 6 as (G, its structural
-    profile, S, the scan's ``_Extensions`` of H)."""
-    return [(g, profile(g), s, per_h.ext) for g, s, per_h in _every_extension(6)]
+    """Every labeled graph G with n <= 6 as (G, its structural profile, its
+    bit j in the scan's ``_Bitmaps`` of its chunk, those bitmaps)."""
+    return [(g, profile(g), j, bitmaps) for g, bitmaps, j in _every_graph(6)]
 
 
 class TestScanGates:
-    # the scan's per-H gates against the structural profile of every labeled
+    # the scan's bitmaps against the structural profile of every labeled
     # graph with n <= 6, isolated vertices included
     def test_degrees_match_profile(self, profiled_graphs_up_to_6):
-        for g, prof, s, ext in profiled_graphs_up_to_6:
-            assert ext.ok >> s & 1 == (not prof.isolated), list(g.edges())
-            assert len(ext.max_degree) == len(ext.min_degree) == g.n
+        for g, prof, j, bitmaps in profiled_graphs_up_to_6:
+            assert bitmaps.ok >> j & 1 == (not prof.isolated), list(g.edges())
+            assert len(bitmaps.max_degree) == len(bitmaps.min_degree) == g.n
             for d in range(g.n):
-                assert ext.max_degree[d] >> s & 1 == (prof.max_degree == d), (d, list(g.edges()))
-                assert ext.min_degree[d] >> s & 1 == (prof.min_degree == d), (d, list(g.edges()))
+                edges = list(g.edges())
+                assert bitmaps.max_degree[d] >> j & 1 == (prof.max_degree == d), (d, edges)
+                assert bitmaps.min_degree[d] >> j & 1 == (prof.min_degree == d), (d, edges)
 
     def test_diameter_is_2_matches_profile(self, profiled_graphs_up_to_6):
-        for g, prof, s, ext in profiled_graphs_up_to_6:
-            gate = ext.within_2 >> s & 1 and prof.min_degree < g.n - 1
+        for g, prof, j, bitmaps in profiled_graphs_up_to_6:
+            gate = bitmaps.within_2 >> j & 1 and prof.min_degree < g.n - 1
             assert gate == (prof.diameter == 2), list(g.edges())
 
     def test_triangle_matches_profile(self, profiled_graphs_up_to_6):
-        for g, prof, s, ext in profiled_graphs_up_to_6:
-            assert ext.triangle >> s & 1 == (prof.girth == 3), list(g.edges())
+        for g, prof, j, bitmaps in profiled_graphs_up_to_6:
+            assert bitmaps.triangle >> j & 1 == (prof.girth == 3), list(g.edges())
 
     def test_within_distance_2_proves_connected(self, profiled_graphs_up_to_6):
-        for g, prof, s, ext in profiled_graphs_up_to_6:
-            assert not ext.within_2 >> s & 1 or prof.is_connected, list(g.edges())
+        for g, prof, j, bitmaps in profiled_graphs_up_to_6:
+            assert not bitmaps.within_2 >> j & 1 or prof.is_connected, list(g.edges())
 
     def test_connected_matches_profile(self, profiled_graphs_up_to_6):
-        for g, prof, s, ext in profiled_graphs_up_to_6:
-            assert ext.connected >> s & 1 == prof.is_connected, list(g.edges())
+        for g, prof, j, bitmaps in profiled_graphs_up_to_6:
+            assert bitmaps.connected >> j & 1 == prof.is_connected, list(g.edges())
 
     def test_bipartite_matches_profile(self, profiled_graphs_up_to_6):
-        for g, prof, s, ext in profiled_graphs_up_to_6:
-            assert ext.bipartite >> s & 1 == (prof.bipartition is not None), list(g.edges())
+        for g, prof, j, bitmaps in profiled_graphs_up_to_6:
+            assert bitmaps.bipartite >> j & 1 == (prof.bipartition is not None), list(g.edges())
+
+    def test_star_plus_matching_matches_the_recognizer(self, profiled_graphs_up_to_6):
+        for g, _, j, bitmaps in profiled_graphs_up_to_6:
+            shape = recognize_star_plus_matching(g) is not None
+            assert bitmaps.star_plus_matching >> j & 1 == shape, list(g.edges())
 
     def test_girth_if_at_least_5_matches_profile(self, profiled_graphs_up_to_6):
         for g, prof, _, _ in profiled_graphs_up_to_6:
