@@ -58,39 +58,19 @@ def all_bounds(
     n = g.n
     max_deg, min_deg = prof.max_degree, prof.min_degree
     no_isolated = not prof.isolated
-    reports = [
-        _report(
-            "cockayne_upper", no_isolated, n - max_deg + 1 if no_isolated else None, exact
-        ),
-        _report(
-            "connected_upper",
-            prof.is_connected and max_deg < n - 1,
-            n - max_deg if prof.is_connected and max_deg < n - 1 else None,
-            exact,
-        ),
-        _report(
-            "n_over_delta_lower",
-            no_isolated,
-            -(-n // max_deg) if no_isolated else None,
-            exact,
-        ),
-        _report(
-            "diam2_upper",
-            prof.diameter == 2,
-            min_deg + 1 if prof.diameter == 2 else None,
-            exact,
-        ),
-    ]
+    joined = prof.is_connected and max_deg < n - 1
     girth_ok = math.isfinite(prof.girth) and prof.girth >= 5 and min_deg >= 2
-    reports.append(
-        _report(
-            "girth_upper",
-            girth_ok,
-            n - math.ceil(prof.girth / 2) + 1 if girth_ok else None,
-            exact,
-        )
-    )
-    return reports
+    # _report drops the value of a bound that does not apply; these two are
+    # guarded all the same, against Delta = 0 and an infinite girth
+    over_delta = -(-n // max_deg) if no_isolated else None
+    girth_bound = n - math.ceil(prof.girth / 2) + 1 if girth_ok else None
+    return [
+        _report("cockayne_upper", no_isolated, n - max_deg + 1, exact),
+        _report("connected_upper", joined, n - max_deg, exact),
+        _report("n_over_delta_lower", no_isolated, over_delta, exact),
+        _report("diam2_upper", prof.diameter == 2, min_deg + 1, exact),
+        _report("girth_upper", girth_ok, girth_bound, exact),
+    ]
 
 
 def path_cycle_formula(kind: str, n: int) -> int:

@@ -15,15 +15,16 @@ The graph claims have two routes, by design:
   a failing class expands into every labeling;
 * the labeled scan, ``scan_bound_claims``: every labeled graph is an index
   whose bits are its edges, and the scan takes the indices a chunk at a
-  time. It works out degrees, gates, the star-plus-matching shape, gamma
-  and gamma_t for a whole chunk at once, bit-sliced: as bitmaps over the
-  chunk's graphs, one bit per graph. It checks the claims with bitmap
-  algebra and inline bound formulas; only girth is looked at graph by
-  graph. It uses no solver, ``profile`` or isomorphism code: it is the
-  independent oracle the tests and the acceptance criteria compare
-  against. The bound formulas therefore sit in two places,
-  ``bounds.all_bounds`` and ``_scan_labeled_chunk``; that is the point of
-  the second route, not a duplicate to fold away.
+  time, one chunk per pool task. It works out degrees, gates, the
+  star-plus-matching shape, gamma and gamma_t for a whole chunk at once,
+  bit-sliced: as bitmaps over the chunk's graphs, one bit per graph. It
+  checks the claims with bitmap algebra and inline bound formulas; only
+  the graphs of girth >= 5 are looked at one by one, for their girth. It
+  uses no solver, ``profile`` or isomorphism code: it is the independent
+  oracle the tests and the acceptance criteria compare against. The bound
+  formulas therefore sit in two places, ``bounds.all_bounds`` and
+  ``_check_bitmaps``; that is the point of the second route, not a
+  duplicate to fold away.
 
 Every pass of either route checks all seven graph claims (``SCAN_CLAIMS``):
 the claims a caller names only choose what is reported. The other domains
@@ -230,6 +231,7 @@ class _Bitmaps(NamedTuple):
     * ``ok``: no isolated vertex;
     * ``max_degree[d]``, ``min_degree[d]``: Delta = d, delta = d, d = 0..n - 1;
     * ``triangle``: a triangle;
+    * ``square``: a 4-cycle, i.e. two vertices with two common neighbours;
     * ``within_2``: every two vertices at distance <= 2;
     * ``connected``;
     * ``bipartite``;
@@ -241,6 +243,7 @@ class _Bitmaps(NamedTuple):
     max_degree: list[int]
     min_degree: list[int]
     triangle: int
+    square: int
     within_2: int
     connected: int
     bipartite: int
@@ -296,11 +299,18 @@ def _chunk_bitmaps(n: int, lo: int, hi: int) -> _Bitmaps:
         for v in range(1, n):
             reach[v] |= reduce(or_, [reach[u] & edge[u][v] for u in range(n) if u != v])
 
-    within_2, triangle, centres = full, 0, 0
+    within_2, triangle, square, centres = full, 0, 0, 0
     for u, v in combinations(range(n), 2):
-        common = reduce(or_, [edge[u][x] & edge[x][v] for x in range(n) if x not in (u, v)], 0)
+        # u and v have at least one, at least two common neighbours
+        common = two = 0
+        for x in range(n):
+            if x != u and x != v:
+                shared = edge[u][x] & edge[x][v]
+                two |= common & shared
+                common |= shared
         within_2 &= edge[u][v] | common
         triangle |= edge[u][v] & common
+        square |= two
         centres |= at_least[u][2] & at_least[v][2]  # two vertices of degree >= 2
     # no vertex of degree 0 and at most one of degree >= 2: every component
     # is a star, and all of them but that vertex's are single edges
@@ -309,6 +319,7 @@ def _chunk_bitmaps(n: int, lo: int, hi: int) -> _Bitmaps:
         [a ^ b for a, b in zip(max_at_least, max_at_least[1:])],
         [a ^ b for a, b in zip(min_at_least, min_at_least[1:])],
         triangle,
+        square,
         within_2,
         reduce(and_, reach),
         full ^ odd,
@@ -316,18 +327,6 @@ def _chunk_bitmaps(n: int, lo: int, hi: int) -> _Bitmaps:
         _total_cover_layers(total),
         _cover_layers(dom),
     )
-
-
-def _girth_if_at_least_5(adj: Sequence[int], n: int) -> int | None:
-    """Girth when >= 5, else None, of a triangle-free graph with minimum
-    degree >= 2, which has a cycle: None exactly when two vertices have two
-    common neighbours, a 4-cycle."""
-    for u in range(n):
-        for v in range(u + 1, n):
-            common = adj[u] & adj[v]
-            if common & (common - 1):
-                return None
-    return int(girth_masks(adj, n))
 
 
 def _labeled_instance(adj: Sequence[int]) -> dict:
@@ -351,31 +350,22 @@ SCAN_CLAIMS = (
 )
 
 
-# graphs per bitmap: narrower bitmaps pay more per-operation overhead, wider
-# ones raise the peak memory of the pool's workers
+# graphs per bitmap, and per pool task: narrower bitmaps pay more per-operation
+# overhead, wider ones raise the peak memory of the pool's workers
 _BITMAP_WIDTH = 1 << 13
 
 
-def _scan_labeled_chunk(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
+def _check_bitmaps(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
     """Evaluate ``SCAN_CLAIMS`` on the labeled graphs on n vertices with index
-    in [lo, hi), ``_BITMAP_WIDTH`` graphs at a time. Graphs with an isolated
+    in [lo, hi), from their ``_chunk_bitmaps``, for ``args = (n, lo, hi)``:
+    each claim's checked count and counterexamples. Graphs with an isolated
     vertex are skipped, as every claim excludes them."""
     n, lo, hi = args
-    checked = dict.fromkeys(SCAN_CLAIMS, 0)
+    (ok, max_degree, min_degree, triangle, square, within_2, connected, bipartite, star,
+     gts, gams) = _chunk_bitmaps(n, lo, hi)
     cex: dict[str, list[dict]] = {c: [] for c in SCAN_CLAIMS}
-    for start in range(lo, hi, _BITMAP_WIDTH):
-        _check_bitmaps(n, start, min(start + _BITMAP_WIDTH, hi), checked, cex)
-    return checked, cex
-
-
-def _check_bitmaps(n: int, lo: int, hi: int, checked: dict, cex: dict) -> None:
-    """Add the claims' checked counts and counterexamples on the graphs with
-    index in [lo, hi) to ``checked`` and ``cex``, from their ``_chunk_bitmaps``."""
-    ok, max_degree, min_degree, triangle, within_2, connected, bipartite, star, gts, gams = (
-        _chunk_bitmaps(n, lo, hi)
-    )
     if not ok:  # n = 1: the one graph is a single isolated vertex
-        return
+        return dict.fromkeys(SCAN_CLAIMS, 0), cex
     pairs = _index_pairs(n)
 
     def fail(claim, j, detail):
@@ -388,13 +378,11 @@ def _check_bitmaps(n: int, lo: int, hi: int, checked: dict, cex: dict) -> None:
     # the last layer holds every graph with a cover: repeat it, so that any
     # bound up to 2n (sandwich) has a layer, whatever the list's length
     gts = gts + gts[-1:] * (2 * n + 1 - len(gts))
+    # the hypotheses that ask more than "no isolated vertex"
     joined = ok & connected & ~max_degree[n - 1]  # connected, Delta < n - 1
     diam2 = ok & within_2 & ~min_degree[n - 1]  # diameter exactly 2: not complete
-    # the claims whose hypothesis is only "no isolated vertex"
-    for claim in ("cockayne_upper", "n_over_delta_lower", "sandwich"):
-        checked[claim] += ok.bit_count()
-    checked["connected_upper"] += joined.bit_count()
-    checked["diam2_upper"] += diam2.bit_count()
+    girth_5 = ok & ~triangle & ~square & ~min_degree[1]  # delta >= 2, so girth >= 5
+    bipartite &= ok
     # the graphs where each claim fails, an OR over Delta (or delta) = d
     cockayne = connected_fail = lower = diam2_fail = extremal = 0
     for d in range(1, n):
@@ -417,19 +405,17 @@ def _check_bitmaps(n: int, lo: int, hi: int, checked: dict, cex: dict) -> None:
             fail(claim, j, {"gamma_t": value(gts, j), "bound": bound(value(degrees, j))})
     for j in _members(ok & sandwich):
         fail("sandwich", j, {"gamma": value(gams, j), "gamma_t": value(gts, j)})
-    for j in _members(ok & ~triangle & ~min_degree[1]):  # delta >= 2, no triangle
-        girth = _girth_if_at_least_5(adj_from_edge_mask(n, pairs, lo + j), n)
-        if girth is not None:
-            checked["girth_upper"] += 1
-            b = n - (girth + 1) // 2 + 1
-            if not gts[b] >> j & 1:
-                fail("girth_upper", j, {"gamma_t": value(gts, j), "girth": girth, "bound": b})
-    bipartite &= ok
-    checked["bipartite_extremal"] += bipartite.bit_count()
+    for j in _members(girth_5):
+        girth = int(girth_masks(adj_from_edge_mask(n, pairs, lo + j), n))
+        b = n - (girth + 1) // 2 + 1
+        if not gts[b] >> j & 1:
+            fail("girth_upper", j, {"gamma_t": value(gts, j), "girth": girth, "bound": b})
     for j in _members(bipartite & (extremal ^ star)):
         tight, shape = extremal >> j & 1 == 1, star >> j & 1 == 1
         detail = {"gamma_t": value(gts, j), "extremal": tight, "star_plus_matching": shape}
         fail("bipartite_extremal", j, detail)
+    hypotheses = (ok, joined, ok, diam2, girth_5, ok, bipartite)  # in SCAN_CLAIMS order
+    return {c: bits.bit_count() for c, bits in zip(SCAN_CLAIMS, hypotheses)}, cex
 
 
 def _run_chunked(worker: Callable, items: list, jobs: int) -> list:
@@ -441,11 +427,6 @@ def _run_chunked(worker: Callable, items: list, jobs: int) -> list:
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers) as pool:
         return pool.map(worker, items)
-
-
-# graphs per pool task: several bitmaps each, so that the parent process
-# gathers few results
-_SCAN_CHUNK = 1 << 15
 
 
 def scan_bound_claims(
@@ -464,9 +445,9 @@ def scan_bound_claims(
     chunks = []
     for n in n_values:
         total = 1 << (n * (n - 1) // 2)
-        for lo in range(0, total, _SCAN_CHUNK):
-            chunks.append((n, lo, min(lo + _SCAN_CHUNK, total)))
-    results = _run_chunked(_scan_labeled_chunk, chunks, jobs)
+        for lo in range(0, total, _BITMAP_WIDTH):
+            chunks.append((n, lo, min(lo + _BITMAP_WIDTH, total)))
+    results = _run_chunked(_check_bitmaps, chunks, jobs)
     merged: dict[str, tuple[int, list[dict]]] = {}
     for claim in claims:
         count = sum(r[0][claim] for r in results)

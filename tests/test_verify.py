@@ -37,7 +37,6 @@ from totaldom.verify import (
     _BITMAP_WIDTH,
     _bit_patterns,
     _chunk_bitmaps,
-    _girth_if_at_least_5,
     _tally,
     _tree_star,
     random_graph_specs,
@@ -343,19 +342,27 @@ class TestScanGates:
             shape = recognize_star_plus_matching(g) is not None
             assert bitmaps.star_plus_matching >> j & 1 == shape, list(g.edges())
 
-    def test_girth_if_at_least_5_matches_profile(self, profiled_graphs_up_to_6):
-        for g, prof, _, _ in profiled_graphs_up_to_6:
-            if prof.min_degree < 2 or prof.girth == 3:
-                continue
-            expected = prof.girth if prof.girth >= 5 else None
-            assert _girth_if_at_least_5(g.adj_masks, g.n) == expected, list(g.edges())
+    def test_square_matches_common_neighbours_and_profile(self, profiled_graphs_up_to_6):
+        for g, prof, j, bitmaps in profiled_graphs_up_to_6:
+            adj = g.adj_masks
+            two_common = any(
+                (adj[u] & adj[v]).bit_count() >= 2 for u, v in combinations(range(g.n), 2)
+            )
+            square = bitmaps.square >> j & 1 == 1
+            assert square == two_common, list(g.edges())
+            if prof.girth != 3:  # without a triangle, a 4-cycle is the girth
+                assert square == (prof.girth == 4), list(g.edges())
 
 
 class TestScan:
-    def test_jobs_do_not_change_results(self):
+    def test_jobs_do_not_change_results(self, monkeypatch):
+        # under a +1 shift the claims fail, and n = 6 spans several pool
+        # tasks, whose records must merge in one order
+        _shift_gamma_t(monkeypatch, 1)
         claims = ("cockayne_upper", "sandwich")
-        a = scan_bound_claims(range(1, 6), claims, jobs=1)
-        b = scan_bound_claims(range(1, 6), claims, jobs=2)
+        a = scan_bound_claims(range(1, 7), claims, jobs=1)
+        b = scan_bound_claims(range(1, 7), claims, jobs=2)
+        assert a["cockayne_upper"][1]
         assert a == b
 
     def test_claims_only_select_what_is_reported(self):
