@@ -35,14 +35,17 @@ _CONFIG_KEYS = frozenset(
 )
 
 
-def _job_count(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _positive(kind: type):
+    """An argparse type: a ``kind`` above 0, so not nan."""
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError by kind's name
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=[s.value for s in Strategy],
             default=Strategy.BRANCH_AND_BOUND.value,
         )
-        p.add_argument("--node-limit", type=int)
-        p.add_argument("--time-limit", type=float, help="seconds")
+        p.add_argument("--node-limit", type=_positive(int))
+        p.add_argument("--time-limit", type=_positive(float), help="seconds")
 
     def add_common(p):
         p.add_argument("--config", help="key=value file mirroring the flags")
@@ -114,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--list", action="store_true", help="list claim ids and exit")
     p.add_argument("--scale", choices=["quick", "full"], default="quick")
-    p.add_argument("--jobs", type=_job_count, default=1)
+    p.add_argument("--jobs", type=_positive(int), default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
@@ -123,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="spec with a..b ranges")
     p.add_argument("--seed", type=int, help="override the family's seed")
     add_solver(p)
-    p.add_argument("--jobs", type=_job_count, default=1)
+    p.add_argument("--jobs", type=_positive(int), default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--config", help="key=value file mirroring the flags")
     p.set_defaults(func=_cmd_sweep)

@@ -2,7 +2,10 @@
 
 Both problems reduce to minimum cover by neighborhoods: a set S dominates
 when the closed neighborhoods of its members cover V, and totally dominates
-when the open neighborhoods do. The two strategies are
+when the open neighborhoods do. ``gamma`` and ``gamma_t`` hand their covers
+and a lower bound to one solve body, ``_min_cover``, which owns the
+strategy, the limits and the counters; a solve with no node or time limit
+never raises ``ResourceExhausted``. The two strategies are
 
 * exhaustive: subsets in (cardinality, lexicographic) order, so the first
   hit is minimum and the reported witness is canonical, and
@@ -58,7 +61,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node_limit must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 
 
@@ -98,24 +101,12 @@ DEFAULT_CONFIG = SolverConfig()
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
     """True iff every vertex is in s or adjacent to a member of s."""
-    covered = s.mask
-    m = s.mask
-    while m:
-        low = m & -m
-        covered |= g.adj_masks[low.bit_length() - 1]
-        m ^= low
-    return covered == g.full_mask
+    return (s.mask | g.set_neighborhood(s).mask) == g.full_mask
 
 
 def is_total_dominating(g: Graph, s: VertexSet) -> bool:
     """True iff every vertex (members of s included) has a neighbor in s."""
-    covered = 0
-    m = s.mask
-    while m:
-        low = m & -m
-        covered |= g.adj_masks[low.bit_length() - 1]
-        m ^= low
-    return covered == g.full_mask
+    return g.set_neighborhood(s).mask == g.full_mask
 
 
 # -- cover-search core ---------------------------------------------------------
@@ -348,31 +339,26 @@ def _bnb_min_cover(
     }
 
 
-def _solve_min_cover(
-    cover: Sequence[int],
-    n: int,
-    config: SolverConfig,
-    greedy_seed: int,
-    lower_bound: int,
-) -> tuple[int, int, SolverStats]:
-    deadline = None
-    if config.time_limit is not None:
-        deadline = time.perf_counter() + config.time_limit
+def _min_cover(
+    g: Graph, cover: Sequence[int], lower_bound: int, config: SolverConfig | None
+) -> DominationResult:
+    """A minimum set of vertices whose ``cover`` masks (coverable and
+    symmetric) union to V, given a proven ``lower_bound`` on its size."""
+    config = config or DEFAULT_CONFIG
     t0 = time.perf_counter()
+    deadline = None if config.time_limit is None else t0 + config.time_limit
     if config.strategy is Strategy.EXHAUSTIVE:
         value, mask, examined = _exhaustive_min_cover(
-            cover, n, config.node_limit, deadline
+            cover, g.n, config.node_limit, deadline
         )
-        stats = SolverStats(
-            subsets_examined=examined,
-            elapsed_seconds=time.perf_counter() - t0,
-        )
+        counters = {"subsets_examined": examined}
     else:
+        seed = _greedy_cover(cover, g.n)
         value, mask, counters = _bnb_min_cover(
-            cover, n, greedy_seed, lower_bound, config.node_limit, deadline
+            cover, g.n, seed, lower_bound, config.node_limit, deadline
         )
-        stats = SolverStats(**counters, elapsed_seconds=time.perf_counter() - t0)
-    return value, mask, stats
+    stats = SolverStats(**counters, elapsed_seconds=time.perf_counter() - t0)
+    return DominationResult(value, VertexSet(g.n, mask), stats)
 
 
 # -- public solvers ------------------------------------------------------------
@@ -380,28 +366,17 @@ def _solve_min_cover(
 
 def gamma(g: Graph, config: SolverConfig | None = None) -> DominationResult:
     """Exact domination number with a canonical optimal witness."""
-    config = config or DEFAULT_CONFIG
     closed = [a | (1 << v) for v, a in enumerate(g.adj_masks)]
-    seed = _greedy_cover(closed, g.n)
-    lb = -(-g.n // (max(g.degrees()) + 1))
-    value, mask, stats = _solve_min_cover(closed, g.n, config, seed, lb)
-    return DominationResult(value, VertexSet(g.n, mask), stats)
+    return _min_cover(g, closed, -(-g.n // (max(g.degrees()) + 1)), config)
 
 
 def gamma_t(g: Graph, config: SolverConfig | None = None) -> DominationResult | None:
     """Exact total domination number, or None if an isolated vertex makes it
     undefined."""
-    config = config or DEFAULT_CONFIG
     if g.isolated_mask():
         return None
-    seed = greedy_total_dominating(g)
-    assert seed is not None
     # n >= 2 here: a 1-vertex graph is all isolated
-    lb = max(2, -(-g.n // max(g.degrees())))
-    value, mask, stats = _solve_min_cover(
-        g.adj_masks, g.n, config, seed.mask, lb
-    )
-    return DominationResult(value, VertexSet(g.n, mask), stats)
+    return _min_cover(g, g.adj_masks, max(2, -(-g.n // max(g.degrees()))), config)
 
 
 def greedy_total_dominating(g: Graph) -> VertexSet | None:

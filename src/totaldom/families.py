@@ -160,6 +160,8 @@ def _parse_kind_params(text: str) -> tuple[FamilyKind, dict[str, str]]:
                 raise InvalidFamily(
                     f"{kind.value}: unexpected parameter {item.strip()!r}"
                 )
+            if key in params:
+                raise InvalidFamily(f"{kind.value}: parameter {key!r} repeated")
             params[key] = raw.strip()
     return kind, params
 

@@ -55,7 +55,7 @@ from .bounds import (
     recognize_star_plus_matching,
 )
 from .domination import SolverConfig, gamma, gamma_t, is_total_dominating
-from .errors import DomainTooLarge, ResourceExhausted, ToolkitError
+from .errors import DomainTooLarge, ResourceExhausted
 # prufer_decode, is_connected_masks and two_coloring_masks are not called
 # here (the scan works out connectivity and 2-colourings as bitmaps): they
 # stay importable from this module because perfbench's traced run wraps them
@@ -508,10 +508,7 @@ def _evaluate(g: Graph, claims: Sequence[str], spec: FamilySpec | None) -> _Resu
     claims = [c for c in claims if applies.get(c, True)]
     if not claims:
         return {}
-    try:
-        gt = gamma_t(g).value
-    except ToolkitError as exc:
-        return {c: (False, {"kind": "unverified", "error": str(exc)}) for c in claims}
+    gt = gamma_t(g).value
     out = {}
     for claim in claims:
         if claim in reports:
@@ -540,10 +537,7 @@ def _tree_star(g: Graph, claims: Sequence[str], spec: FamilySpec | None) -> _Res
     """tree_star on the tree ``g``, from Delta and gamma_t alone: it attains the
     Cockayne bound, the bound counted as attained, iff it is a star."""
     (claim,) = claims
-    try:
-        gt = gamma_t(g).value
-    except ToolkitError as exc:
-        return {claim: (False, {"kind": "unverified", "error": str(exc)})}
+    gt = gamma_t(g).value
     extremal, star = achieves_extremal(g, gt), max(g.degrees()) == g.n - 1
     detail = {"gamma_t": gt, "extremal": extremal, "star": star}
     return {claim: (extremal, None if extremal == star else detail)}
@@ -570,13 +564,9 @@ def _closed_form(g: Graph, claims: Sequence[str], spec: FamilySpec) -> _Results:
         detail["formula"] = cv.value
     if not is_total_dominating(g, cv.witness):
         detail["witness_valid"] = False
-    try:
-        solved = gamma_t(g).value
-        if solved != expected:
-            detail["solver"] = solved
-    except ToolkitError as exc:
-        detail["kind"] = "unverified"
-        detail["error"] = str(exc)
+    solved = gamma_t(g).value
+    if solved != expected:
+        detail["solver"] = solved
     return {claim: (False, {**detail, "expected": expected} if detail else None)}
 
 

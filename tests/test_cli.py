@@ -198,6 +198,15 @@ class TestVerifyCommand:
         assert code == 0
         assert out.encode() == (DATA / f"verify_all_quick.{golden}").read_bytes()
 
+    @pytest.mark.parametrize("fmt, golden", [("json", "json"), ("text", "txt")])
+    def test_all_full_is_byte_identical_to_the_saved_output(self, capsys, fmt, golden):
+        # the same at full scale, whose graph classes run to n = 7
+        code, out, _ = run(
+            capsys, "verify", "--theorem", "all", "--scale", "full", "--format", fmt
+        )
+        assert code == 0
+        assert out.encode() == (DATA / f"verify_all_full.{golden}").read_bytes()
+
     def test_list(self, capsys):
         code, out, _ = run(capsys, "verify", "--list")
         assert code == 0
@@ -365,6 +374,12 @@ class TestUsageErrors:
             (VERIFY, "jobs=-1"),
             (SWEEP, "jobs=0"),
             (COMPUTE, "strategy=foo"),
+            (COMPUTE, "node_limit=0"),
+            (COMPUTE, "time_limit=-1"),
+            (COMPUTE, "time_limit=nan"),
+            (SWEEP, "node_limit=0"),
+            (SWEEP, "time_limit=-1"),
+            (SWEEP, "time_limit=nan"),
         ],
     )
     def test_bad_config_value_exit_2(self, capsys, tmp_path, argv, line):
@@ -376,6 +391,29 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [VERIFY, SWEEP])
     def test_jobs_below_one_exit_2(self, capsys, argv, jobs):
         self.usage_error(capsys, *argv, "--jobs", jobs)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--node-limit", "0"),
+            ("--node-limit", "-1"),
+            ("--node-limit", "ten"),
+            ("--time-limit", "0"),
+            ("--time-limit", "-1"),
+            ("--time-limit", "nan"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [COMPUTE, SWEEP])
+    def test_solver_limit_not_positive_exit_2(self, capsys, argv, flag, value):
+        self.usage_error(capsys, *argv, f"{flag}={value}")
+
+    def test_repeated_family_parameter_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--family", "random:n=5,p=0.5,seed=1,seed=2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestModuleEntryPoint:

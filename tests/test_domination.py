@@ -68,6 +68,14 @@ class TestPredicates:
         g = family("circular:n=10,d=3")
         assert is_total_dominating(g, VertexSet.from_members(10, [0, 5]))
 
+    @pytest.mark.parametrize("predicate", [is_dominating, is_total_dominating])
+    @pytest.mark.parametrize("capacity", [4, 6])
+    def test_set_of_another_capacity_refused(self, predicate, capacity):
+        # a set is over the graph's vertices: capacity 4 would drop vertex
+        # 4 of the 5-cycle, capacity 6 name a vertex it lacks
+        with pytest.raises(ValueError):
+            predicate(family("cycle:n=5"), VertexSet.full(capacity))
+
     @given(graph_inputs(max_n=8), st.data())
     def test_superset_monotonicity(self, inp, data):
         n, edges = inp
@@ -375,6 +383,8 @@ class TestLimits:
             SolverConfig(node_limit=0)
         with pytest.raises(ValueError):
             SolverConfig(time_limit=-1.0)
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=float("nan"))
 
     def test_within_limit_succeeds(self):
         res = gamma_t(family("cycle:n=8"), SolverConfig(time_limit=30.0))

@@ -84,6 +84,7 @@ class TestSpecStrings:
             "star:t=0",
             "star+matching:t=0,r=1",
             "random:n=5,p=1.5,seed=1",
+            "random:n=5,p=0.5,seed=1,seed=2",  # a repeated key
         ],
     )
     def test_invalid(self, text):
@@ -274,6 +275,10 @@ class TestRanges:
     def test_missing_param(self):
         with pytest.raises(InvalidFamily):
             parse_family_range("circular:d=3")
+
+    def test_repeated_param(self):
+        with pytest.raises(InvalidFamily, match="'n' repeated"):
+            parse_family_range("cycle:n=3..5,n=7")
 
     def test_budget_refused_before_expanding(self, monkeypatch):
         # 15 x 20,000 = 300,000 valid specs; building stops one past the budget
