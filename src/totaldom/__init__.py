@@ -39,7 +39,6 @@ from .families import (
     FamilyKind,
     FamilySpec,
     SplitMix64,
-    enumerate_labeled_graphs,
     generate,
     isomorphism_classes,
     parse_family_range,

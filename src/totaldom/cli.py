@@ -149,18 +149,28 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
+# the values a --config file may give a switch such as stats, in lower case
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _with_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]
+) -> list[str]:
     """``argv`` with the config file's values inserted as flags ahead of the
     given ones, so the parser checks them like flags and a flag given on the
-    command line wins. Keys that name no flag of the subcommand are skipped."""
+    command line wins; a switch's value that is neither true nor false is a
+    usage error. Keys that name no flag of the subcommand are skipped."""
     flags = []
     for key, value in _load_config(args.config).items():
         if not hasattr(args, key):
             continue
         flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):
-            if value.lower() in ("1", "true", "yes", "on"):
+            if value.lower() in _TRUE:
                 flags.append(flag)
+            elif value.lower() not in _FALSE:
+                parser.error(f"config: {key}={value!r} is not a boolean")
         else:
             flags.append(f"{flag}={value}")
     return [*argv[:1], *flags, *argv[1:]]
@@ -347,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            args = parser.parse_args(_with_config(args, argv))
+            args = parser.parse_args(_with_config(parser, args, argv))
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code
@@ -359,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         # shutdown stays silent too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ToolkitError, OSError) as exc:
+    except (ToolkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,5 @@
-"""Deterministic graph family generators and small-graph enumeration:
-labeled, and one graph per isomorphism class with its number of labelings.
+"""Deterministic graph family generators, and the small graphs one per
+isomorphism class with its number of labelings.
 
 Every random family is a pure function of its seed: draws come from a
 splitmix64 stream, so identical specs reproduce bit-identical graphs across
@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainTooLarge, InvalidFamily
-from .graph import Graph, is_connected_masks, two_coloring_masks
+from .graph import Graph
 
 MASK64 = (1 << 64) - 1
 
@@ -326,51 +326,7 @@ _GENERATORS: dict[FamilyKind, Callable[[FamilySpec], Graph]] = {
 }
 
 
-# -- exhaustive labeled enumeration -------------------------------------------
-
-
-def vertex_pairs(n: int) -> list[tuple[int, int]]:
-    """All vertex pairs (u, v), u < v, in lexicographic order.
-
-    Bit k of an edge mask refers to pair k of this list.
-    """
-    return list(combinations(range(n), 2))
-
-
-def adj_from_edge_mask(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> list[int]:
-    adj = [0] * n
-    m = mask
-    while m:
-        low = m & -m
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        m ^= low
-    return adj
-
-
-def _filter_all(adj: list[int], n: int) -> bool:
-    return True
-
-
-def _filter_connected(adj: list[int], n: int) -> bool:
-    return is_connected_masks(adj, n)
-
-
-def _filter_bipartite(adj: list[int], n: int) -> bool:
-    return two_coloring_masks(adj, n) is not None
-
-
-def _filter_no_isolated(adj: list[int], n: int) -> bool:
-    return 0 not in adj
-
-
-GRAPH_FILTERS: dict[str, Callable[[list[int], int], bool]] = {
-    "all": _filter_all,
-    "connected": _filter_connected,
-    "bipartite": _filter_bipartite,
-    "no-isolated": _filter_no_isolated,
-}
+# -- isomorphism classes ------------------------------------------------------
 
 
 def _neighbour_lists(adj: Sequence[int]) -> list[list[int]]:
@@ -440,7 +396,7 @@ def _canonical_form(adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return best, hits
 
 
-# vertex counts the class tables stop at: graphs as for labeled enumeration;
+# vertex counts the class tables stop at: graphs as for the labeled scan;
 # trees one further (the canonical form tries (n-1)! orders on a star)
 _CLASS_MAX_N = {False: ENUMERATION_MAX_N, True: ENUMERATION_MAX_N + 1}
 
@@ -494,28 +450,3 @@ def labelings(adj: Sequence[int]) -> list[tuple[int, ...]]:
     order: n!/|Aut| of them."""
     nbrs = _neighbour_lists(adj)
     return sorted({_relabel(nbrs, order) for order in permutations(range(len(adj)))})
-
-
-def enumerate_labeled_graphs(n: int, graph_filter: str = "all") -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices, in lexicographic edge-mask order.
-
-    Enumeration is labeled, not isomorphism-reduced: 2^(n(n-1)/2) candidate
-    masks, which caps n at 7.
-    """
-    if n > ENUMERATION_MAX_N:
-        raise DomainTooLarge(
-            f"labeled enumeration supports n <= {ENUMERATION_MAX_N}, got {n}"
-        )
-    if n < 1:
-        raise DomainTooLarge(f"need n >= 1, got {n}")
-    try:
-        accept = GRAPH_FILTERS[graph_filter]
-    except KeyError:
-        raise ValueError(
-            f"unknown filter {graph_filter!r}; expected one of {sorted(GRAPH_FILTERS)}"
-        ) from None
-    pairs = vertex_pairs(n)
-    for mask in range(1 << len(pairs)):
-        adj = adj_from_edge_mask(n, pairs, mask)
-        if accept(adj, n):
-            yield Graph.from_masks(adj)

@@ -48,6 +48,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import (
+    BOUND_IDS,
     achieves_extremal,
     all_bounds,
     circular_gamma_t,
@@ -67,12 +68,10 @@ from .families import (
     FamilyKind,
     FamilySpec,
     _format_fraction,
-    adj_from_edge_mask,
     generate,
     isomorphism_classes,
     labelings,
     prufer_decode,
-    vertex_pairs,
 )
 from .graph import (
     Graph,
@@ -176,15 +175,15 @@ def random_tree_specs(
 #
 # Graph i on n vertices has the edge of pair t of ``_index_pairs(n)`` iff bit t
 # of i is set: first the pairs (v, w) of the last vertex w = n - 1, so that the
-# low n - 1 bits are its neighbourhood S, then the pairs of the graph H on the
-# vertices below w in ``vertex_pairs(n - 1)`` order. The scan takes the graphs
-# a chunk [lo, hi) at a time and works out each property for the whole chunk
-# at once, as a bitmap over it: bit j stands for graph lo + j.
+# low n - 1 bits are its neighbourhood S, then the pairs (u, v), u < v, of the
+# graph H on the vertices below w, in lexicographic order. The scan takes the
+# graphs a chunk [lo, hi) at a time and works out each property for the whole
+# chunk at once, as a bitmap over it: bit j stands for graph lo + j.
 
 
 def _index_pairs(n: int) -> list[tuple[int, int]]:
     """The vertex pair of each bit of a graph index on n vertices."""
-    return [(v, n - 1) for v in range(n - 1)] + vertex_pairs(n - 1)
+    return [(v, n - 1) for v in range(n - 1)] + list(combinations(range(n - 1), 2))
 
 
 @lru_cache(maxsize=None)
@@ -222,6 +221,17 @@ def _members(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _adjacency(n: int, pairs: Sequence[tuple[int, int]], i: int) -> list[int]:
+    """The adjacency masks of graph i on n vertices, given ``pairs =
+    _index_pairs(n)``: the scan decodes only the graphs it looks at one by one."""
+    adj = [0] * n
+    for t in _members(i):
+        u, v = pairs[t]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 class _Bitmaps(NamedTuple):
@@ -369,7 +379,7 @@ def _check_bitmaps(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
     pairs = _index_pairs(n)
 
     def fail(claim, j, detail):
-        instance = _labeled_instance(adj_from_edge_mask(n, pairs, lo + j))
+        instance = _labeled_instance(_adjacency(n, pairs, lo + j))
         cex[claim].append({"instance": instance, "detail": detail})
 
     def value(layers, j):  # the least k whose layer holds graph j: Delta, delta, gamma_t or gamma
@@ -406,7 +416,7 @@ def _check_bitmaps(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
     for j in _members(ok & sandwich):
         fail("sandwich", j, {"gamma": value(gams, j), "gamma_t": value(gts, j)})
     for j in _members(girth_5):
-        girth = int(girth_masks(adj_from_edge_mask(n, pairs, lo + j), n))
+        girth = int(girth_masks(_adjacency(n, pairs, lo + j), n))
         b = n - (girth + 1) // 2 + 1
         if not gts[b] >> j & 1:
             fail("girth_upper", j, {"gamma_t": value(gts, j), "girth": girth, "bound": b})
@@ -714,26 +724,10 @@ def verify_all(scale: str = "quick", jobs: int = 1) -> list[VerificationReport]:
 
 # -- sweeps ---------------------------------------------------------------------
 
+# the spec's parameters, the two exact values, each bound and its tightness
 SWEEP_COLUMNS = (
-    "family",
-    "n",
-    "d",
-    "t",
-    "r",
-    "p",
-    "seed",
-    "gamma",
-    "gamma_t",
-    "cockayne_upper",
-    "cockayne_upper_tight",
-    "connected_upper",
-    "connected_upper_tight",
-    "n_over_delta_lower",
-    "n_over_delta_lower_tight",
-    "diam2_upper",
-    "diam2_upper_tight",
-    "girth_upper",
-    "girth_upper_tight",
+    "family", "n", "d", "t", "r", "p", "seed", "gamma", "gamma_t",
+    *(column for b in BOUND_IDS for column in (b, f"{b}_tight")),
     "extremal",
 )
 

@@ -48,8 +48,8 @@ def brute_force_min_total_dominating(n, edges):
 
 
 def edge_mask_graphs(n):
-    """Every labeled graph on n vertices as (n, edges), independent of the
-    package's enumerator."""
+    """Every labeled graph on n vertices as (n, edges), built without the
+    package's code."""
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]

@@ -12,18 +12,18 @@ from totaldom import (
     achieves_extremal,
     all_bounds,
     circular_gamma_t,
-    enumerate_labeled_graphs,
     gamma,
     gamma_t,
     generate,
     is_extremal_tree,
     is_total_dominating,
     path_cycle_formula,
+    profile,
     recognize_star_plus_matching,
 )
 from totaldom.families import FamilyKind, FamilySpec
 
-from conftest import brute_force_min_total_dominating
+from conftest import brute_force_min_total_dominating, edge_mask_graphs
 
 
 def family(text):
@@ -97,7 +97,8 @@ class TestAllBounds:
     def test_soundness_exhaustively_small(self):
         # every applicable upper bound >= gamma_t, lower bound <= gamma_t
         for n in range(2, 6):
-            for g in enumerate_labeled_graphs(n, "all"):
+            for _, edges in edge_mask_graphs(n):
+                g = Graph(n, edges)
                 res = gamma_t(g)
                 if res is None:
                     continue
@@ -112,7 +113,10 @@ class TestAllBounds:
     def test_theorem_b_consequence(self):
         # extremal connected graphs must have a dominating-star degree
         for n in range(2, 6):
-            for g in enumerate_labeled_graphs(n, "connected"):
+            for _, edges in edge_mask_graphs(n):
+                g = Graph(n, edges)
+                if not profile(g).is_connected:
+                    continue
                 res = gamma_t(g)
                 if res is None:
                     continue

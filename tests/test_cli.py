@@ -354,6 +354,7 @@ class TestConfigFile:
 VERIFY = ("verify", "--theorem", "path_cycle_formula")
 SWEEP = ("sweep", "--family", "cycle:n=3..4")
 COMPUTE = ("compute", "--family", "cycle:n=5")
+BOUNDS = ("bounds", "--family", "cycle:n=5")
 
 
 class TestUsageErrors:
@@ -380,12 +381,41 @@ class TestUsageErrors:
             (SWEEP, "node_limit=0"),
             (SWEEP, "time_limit=-1"),
             (SWEEP, "time_limit=nan"),
+            (VERIFY, "stats=maybe"),
+            (VERIFY, "stats="),
+            (COMPUTE, "paranoid=2"),
+            (COMPUTE, "stats=maybe"),
+            (BOUNDS, "no_exact=maybe"),
         ],
     )
     def test_bad_config_value_exit_2(self, capsys, tmp_path, argv, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         self.usage_error(capsys, *argv, "--config", str(cfg))
+
+    @pytest.mark.parametrize(
+        "line", ["stats=ON", "stats=Yes", "stats=1", "stats=true", "stats=off", "stats=No",
+                 "stats=0", "stats=FALSE"]
+    )
+    def test_config_switch_words(self, capsys, tmp_path, line):
+        cfg = tmp_path / "switch.cfg"
+        cfg.write_text(line + "\n")
+        code, out, _ = run(capsys, *COMPUTE, "--config", str(cfg))
+        assert code == 0
+        on = line.split("=")[1].lower() in ("on", "yes", "1", "true")
+        assert ("gamma_stats" in out) == on
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("compute",), "--input"), (("bounds",), "--input"), (COMPUTE, "--config")],
+    )
+    def test_file_not_utf8_exit_2(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"3 2\n0 1\n1 2 # caf\xe9\n\xff\n")
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("argv", [VERIFY, SWEEP])

@@ -14,7 +14,6 @@ from totaldom import (
     InvalidFamily,
     OutOfRange,
     SplitMix64,
-    enumerate_labeled_graphs,
     generate,
     parse_family_range,
     profile,
@@ -210,47 +209,6 @@ class TestPrufer:
             prufer_decode((5,), 4)
         with pytest.raises(InvalidFamily):
             prufer_decode((0,), 4)
-
-
-class TestEnumeration:
-    def test_counts_all(self):
-        assert sum(1 for _ in enumerate_labeled_graphs(3, "all")) == 8
-
-    def test_no_isolated_n2(self):
-        graphs = list(enumerate_labeled_graphs(2, "no-isolated"))
-        assert len(graphs) == 1 and graphs[0].m == 1
-
-    def test_connected_count_n4_against_oracle(self):
-        # independent oracle: test connectivity of all 64 masks via networkx
-        pairs = list(combinations(range(4), 2))
-        expected = 0
-        for mask in range(1 << 6):
-            h = nx.Graph()
-            h.add_nodes_from(range(4))
-            h.add_edges_from(pairs[i] for i in range(6) if mask >> i & 1)
-            if nx.is_connected(h):
-                expected += 1
-        assert expected == 38
-        assert sum(1 for _ in enumerate_labeled_graphs(4, "connected")) == 38
-
-    def test_lexicographic_mask_order(self):
-        graphs = list(enumerate_labeled_graphs(3, "all"))
-        assert graphs[0].m == 0
-        assert graphs[1].edges().__next__() == (0, 1)
-        masks = [g.adj_masks for g in graphs]
-        assert len(set(masks)) == 8
-
-    def test_bipartite_filter(self):
-        for g in enumerate_labeled_graphs(4, "bipartite"):
-            assert profile(g).bipartition is not None
-
-    def test_too_large(self):
-        with pytest.raises(DomainTooLarge):
-            next(enumerate_labeled_graphs(8))
-
-    def test_unknown_filter(self):
-        with pytest.raises(ValueError):
-            next(enumerate_labeled_graphs(3, "planar"))
 
 
 class TestRanges:

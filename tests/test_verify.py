@@ -3,6 +3,7 @@ import importlib
 import json
 from itertools import combinations, permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -31,12 +32,13 @@ from totaldom.cli import main as cli_main
 from totaldom.families import isomorphism_classes, labelings, prufer_decode
 from totaldom.verify import (
     SCAN_CLAIMS,
-    SWEEP_COLUMNS,
     _cex_sort_key,
     _class_domain,
     _BITMAP_WIDTH,
+    _adjacency,
     _bit_patterns,
     _chunk_bitmaps,
+    _index_pairs,
     _tally,
     _tree_star,
     random_graph_specs,
@@ -394,6 +396,12 @@ class TestScan:
         assert count == expected
         assert cex == []
 
+    def test_adjacency_decodes_every_graph_up_to_5(self):
+        # n <= 5 has at most 2^10 graphs, all in one chunk, so graph i is bit j = i
+        assert 2**10 <= _BITMAP_WIDTH
+        for g, _, i in _every_graph(5):
+            assert Graph.from_masks(_adjacency(g.n, _index_pairs(g.n), i)) == g, i
+
 
 class TestVerifyArms:
     def test_path_cycle_quick(self):
@@ -641,7 +649,12 @@ class TestSweep:
     def test_csv_fixed_header(self):
         text = sweep_csv(sweep(parse_family_range("path:n=4")))
         lines = text.splitlines()
-        assert lines[0] == ",".join(SWEEP_COLUMNS)
+        assert lines[0] == (
+            "family,n,d,t,r,p,seed,gamma,gamma_t,cockayne_upper,cockayne_upper_tight,"
+            "connected_upper,connected_upper_tight,n_over_delta_lower,"
+            "n_over_delta_lower_tight,diam2_upper,diam2_upper_tight,girth_upper,"
+            "girth_upper_tight,extremal"
+        )
         assert len(lines) == 2
 
     def test_undefined_gamma_t_left_blank(self):
@@ -650,3 +663,13 @@ class TestSweep:
         assert rows[0]["gamma_t"] == ""
         assert rows[0]["extremal"] == ""
         assert rows[0]["gamma"] == "4"
+
+
+def test_benchmark_wraps_name_callables(monkeypatch):
+    # perfbench's traced run replaces each of these attributes; a name that no
+    # longer resolves aborts it
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    wraps = importlib.import_module("workloads").trace_wraps()
+    assert len(wraps) == 14
+    for w in wraps:
+        assert callable(getattr(w.module, w.attr, None)), (w.module.__name__, w.attr)
