@@ -13,7 +13,6 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .bounds import all_bounds
 from .domination import DominationResult, SolverConfig, Strategy, gamma, gamma_t
@@ -137,7 +136,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict[str, str]:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ToolkitError(f"{path}: {exc}") from exc
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

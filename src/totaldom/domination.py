@@ -21,15 +21,23 @@ never raises ``ResourceExhausted``. The two strategies are
   set of uncovered vertices with pairwise disjoint live candidate sets,
   each of which needs its own pick (for gamma_t, the open-packing bound
   rho_o(G) <= gamma_t(G)); and the counting bound, ceil(uncovered / the
-  largest number of uncovered vertices one live candidate covers). When
-  at most two picks can still beat the incumbent, the search finishes
-  exactly instead of branching: u covers v iff v covers u, so the one
-  pick that covers a set R is a live common neighbour of R, found by
-  intersecting masks. With one pick left it takes the lowest such vertex
-  of the uncovered set; with two, it walks the branching candidates in
-  the search's order and pairs the first that leaves a coverable rest
-  with the lowest live common neighbour of that rest. Values and
-  witnesses are those the branching would find.
+  largest number of uncovered vertices one live candidate covers). A
+  child's live and uncovered sets are subsets of its parent's, so no
+  candidate of the child gains more than that largest gain g of its
+  parent: the parent cuts the child that picks u once |S| + 1 +
+  ceil((uncovered - gain(u)) / g) reaches the incumbent, before recursing
+  into it, and since the bound only grows along the decreasing gains, that
+  cut ends the parent's loop. When at most two picks can still beat the
+  incumbent, the search finishes exactly instead of branching: u covers v
+  iff v covers u, so the one pick that covers a set R is a live common
+  neighbour of R, found by intersecting masks. With one pick left it takes
+  the lowest such vertex of the uncovered set; with two, it walks the
+  branching candidates in the search's order and pairs the first that
+  leaves a coverable rest with the lowest live common neighbour of that
+  rest, stopping at the first rest larger than the parent's largest gain
+  g, which no single pick covers (nor the larger rest of a later
+  candidate). None of these cuts drops a strictly better cover, so values
+  and witnesses are those the plain branching would find.
 
 A solve is pure: same graph and config, same result, bit for bit.
 """
@@ -73,7 +81,9 @@ class SolverStats:
     could still beat the incumbent are finished without recursing, so they
     are not ``branch_nodes`` (nor forced picks); a finish that finds no cover
     counts as ``prunes_counting``, which with one pick left is exactly the
-    counting bound."""
+    counting bound. A child that its parent cuts by the counting bound
+    counts once as ``prunes_counting`` (for it and its later siblings) and
+    is not a ``branch_node``."""
 
     subsets_examined: int = 0
     branch_nodes: int = 0
@@ -202,7 +212,7 @@ def _bnb_min_cover(
     if best_value <= lower_bound:
         return best_value, best_mask, {}
 
-    def recurse(chosen: int, covered: int, size: int, banned: int) -> None:
+    def recurse(chosen: int, covered: int, size: int, banned: int, cap: int) -> None:
         nonlocal best_mask, best_value, nodes, forced_picks
         nonlocal dead, incumbent, packing, counting, updates
         nodes += 1
@@ -292,6 +302,10 @@ def _bnb_min_cover(
                     best_mask = chosen | (1 << u)
                     updates += 1
                     return
+                if rest.bit_count() > cap:
+                    # no live candidate covers more than cap, so neither
+                    # this rest nor a later (larger) one fits one pick
+                    break
                 live ^= 1 << u
                 common = _common_cover(cover, rest, live)
                 if common:
@@ -314,20 +328,26 @@ def _bnb_min_cover(
                 max_gain = gain
             if branch >> u & 1:
                 order.append((-gain, u))
-        if size + -(-unc.bit_count() // max_gain) >= best_value:
+        left = unc.bit_count()
+        if size + -(-left // max_gain) >= best_value:
             counting += 1
             return
 
         # every cover holding u was searched in u's branch, so the later
-        # siblings leave u out
+        # siblings leave u out. No candidate of a child gains more than
+        # max_gain, so the counting bound of a child is known here; it only
+        # grows along the order, so the first child it cuts ends the loop
         order.sort()
-        for _, u in order:
+        for neg_gain, u in order:
             if size + 1 >= best_value:
                 break
-            recurse(chosen | (1 << u), covered | cover[u], size + 1, banned)
+            if size + 1 + -(-(left + neg_gain) // max_gain) >= best_value:
+                counting += 1
+                break
+            recurse(chosen | (1 << u), covered | cover[u], size + 1, banned, max_gain)
             banned |= 1 << u
 
-    recurse(0, 0, 0, 0)
+    recurse(0, 0, 0, 0, n)
     return best_value, best_mask, {
         "branch_nodes": nodes,
         "forced_picks": forced_picks,

@@ -337,7 +337,11 @@ def format_edge_list(g: Graph) -> str:
 
 def read_edge_list(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise EdgeListFormatError(f"{path}: {exc}") from exc
+    return parse_edge_list(text)
 
 
 def write_edge_list(g: Graph, path: str) -> None:

@@ -416,6 +416,7 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("argv", [VERIFY, SWEEP])

@@ -1,4 +1,3 @@
-import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,6 @@ from totaldom import (
     is_dominating,
     is_total_dominating,
 )
-from totaldom.domination import _greedy_cover
 
 from conftest import (
     brute_force_min_dominating,
@@ -350,11 +348,28 @@ class TestPruningSoundness:
 
     def test_sparse_envelope_within_node_limit(self):
         # random:n=64,p=0.1 was the slowest class at the envelope; values
-        # computed without a limit
-        cfg = SolverConfig(node_limit=100_000)
+        # computed without a limit. The slowest of these solves takes about
+        # 7,000 nodes
+        cfg = SolverConfig(node_limit=10_000)
         graphs = [family(f"random:n=64,p=0.1,seed={s}") for s in range(5)]
         assert [gamma(g, cfg).value for g in graphs] == [11, 11, 10, 11, 11]
         assert [gamma_t(g, cfg).value for g in graphs] == [11, 11, 11, 13, 11]
+
+    @pytest.mark.parametrize(
+        "spec, solve, value, mask",
+        [
+            ("random:n=64,p=0.15,seed=4262941488", gamma_t, 9, 5188430720816676868),
+            ("random:n=64,p=0.15,seed=3276568223", gamma, 8, 9367781932701597696),
+            ("random:n=64,p=0.1,seed=1824181489", gamma, 10, 4623529958755666048),
+            ("random:n=64,p=0.1,seed=1824181489", gamma_t, 12, 4720924972616269954),
+        ],
+    )
+    def test_child_counting_cut_keeps_unlimited_answer(self, spec, solve, value, mask):
+        # envelope solves that need more than 10,000 nodes unless a child is
+        # cut at its parent by the counting bound; value and witness are those
+        # of the search without that cut and without a limit
+        res = solve(family(spec), SolverConfig(node_limit=10_000))
+        assert (res.value, res.witness.mask) == (value, mask)
 
 
 class TestLimits:

@@ -3,8 +3,6 @@ from itertools import combinations, product
 
 import networkx as nx
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from totaldom import (
     DomainTooLarge,

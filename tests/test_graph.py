@@ -1,5 +1,4 @@
 import math
-from itertools import combinations
 
 import networkx as nx
 import pytest
