@@ -202,7 +202,12 @@ def _load_graph(args) -> Graph:
         raise ToolkitError("exactly one of --input or --family is required")
     if args.input is not None:
         if args.input == "-":
-            return parse_edge_list(sys.stdin.read())
+            # bytes, decoded here: the text layer's decoding follows the locale
+            try:
+                text = sys.stdin.buffer.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ToolkitError(f"<stdin>: {exc}") from exc
+            return parse_edge_list(text)
         return read_edge_list(args.input)
     spec = _spec_with_seed(FamilySpec.parse(args.family), args.seed)
     return generate(spec)

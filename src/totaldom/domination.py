@@ -36,8 +36,14 @@ never raises ``ResourceExhausted``. The two strategies are
   leaves a coverable rest with the lowest live common neighbour of that
   rest, stopping at the first rest larger than the parent's largest gain
   g, which no single pick covers (nor the larger rest of a later
-  candidate). None of these cuts drops a strictly better cover, so values
-  and witnesses are those the plain branching would find.
+  candidate). Most nodes that start with two picks left hold no better
+  cover, so such a node is first refuted cheaply, before its scan: one of
+  the two picks covers the lowest uncovered vertex r, and the other is a
+  live common neighbour of the rest the first leaves, of at most g
+  vertices. When no live candidate of r leaves such a coverable rest, the
+  node ends there; otherwise the scan and the finish run as before and
+  pick the witness. None of these cuts drops a strictly better cover, so
+  values and witnesses are those the plain branching would find.
 
 A solve is pure: same graph and config, same result, bit for bit.
 """
@@ -83,7 +89,11 @@ class SolverStats:
     counts as ``prunes_counting``, which with one pick left is exactly the
     counting bound. A child that its parent cuts by the counting bound
     counts once as ``prunes_counting`` (for it and its later siblings) and
-    is not a ``branch_node``."""
+    is not a ``branch_node``. A node with two picks left that is refuted
+    before its scan is a ``branch_node`` and counts once as
+    ``prunes_counting``, so a dead vertex, a packing of three or a forced
+    pick there is not tallied under ``prunes_dead``, ``prunes_packing`` or
+    ``forced_picks``."""
 
     subsets_examined: int = 0
     branch_nodes: int = 0
@@ -187,6 +197,23 @@ def _common_cover(cover: Sequence[int], targets: int, live: int) -> int:
     return live
 
 
+def _two_picks_possible(cover: Sequence[int], unc: int, live: int, cap: int) -> bool:
+    """Whether at most two picks of ``live`` cover the non-empty ``unc``,
+    given that no live vertex covers more than ``cap`` of it. One pick a
+    covers the lowest vertex r of ``unc``; the other covers the rest, so it
+    is a live common neighbour of that rest, which it cannot be when the
+    rest is larger than ``cap``."""
+    low = unc & -unc
+    m = cover[low.bit_length() - 1] & live
+    while m:
+        a = m & -m
+        m ^= a
+        rest = unc & ~cover[a.bit_length() - 1]
+        if not rest or (rest.bit_count() <= cap and _common_cover(cover, rest, live)):
+            return True
+    return False
+
+
 def _bnb_min_cover(
     cover: Sequence[int],
     n: int,
@@ -222,11 +249,20 @@ def _bnb_min_cover(
             if time.perf_counter() > deadline:
                 raise ResourceExhausted("time limit exceeded")
 
+        live = full & ~(chosen | banned)
+        if (
+            size + 3 == best_value
+            and covered != full
+            and not _two_picks_possible(cover, full & ~covered, live, cap)
+        ):
+            # with two picks left, most nodes hold no better cover: refute
+            # them cheaply, so that the scan runs only where one may be found
+            counting += 1
+            return
         # one scan of the uncovered vertices over their live candidates
         # (neither chosen nor banned): a vertex with none is dead, one with
         # a single candidate forces it, and the rest give the branching
         # vertex and a packing of disjoint candidate sets
-        live = full & ~(chosen | banned)
         while True:
             if covered == full:
                 if size < best_value:

@@ -61,11 +61,6 @@ class VertexSet:
     def complement(self) -> "VertexSet":
         return VertexSet(self.capacity, ~self.mask & ((1 << self.capacity) - 1))
 
-    def with_vertex(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.capacity:
-            raise OutOfRange(f"vertex {v} outside 0..{self.capacity - 1}")
-        return VertexSet(self.capacity, self.mask | (1 << v))
-
     def is_subset_of(self, other: "VertexSet") -> bool:
         self._check_compatible(other)
         return self.mask & ~other.mask == 0
@@ -104,6 +99,3 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet({self.capacity}, {{{', '.join(map(str, self))}}})"
-
-    def to_list(self) -> list[int]:
-        return list(self)

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -127,9 +128,7 @@ class TestInputFiles:
         assert code == 2
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO("2 1\n0 1\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"2 1\n0 1\n")))
         code, out, _ = run(capsys, "compute", "--input", "-")
         assert code == 0
         assert "gamma_t=2" in out
@@ -417,6 +416,16 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(path) in err
+
+    @pytest.mark.parametrize("command", ["compute", "bounds"])
+    def test_stdin_not_utf8_exit_2(self, capsys, monkeypatch, command):
+        # the text layer as under the C locale, which would let the byte pass
+        data = io.BytesIO(b"3 2\n0 1\n1 2 # caf\xe9\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(data, errors="surrogateescape"))
+        code, out, err = run(capsys, command, "--input", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: <stdin>: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("argv", [VERIFY, SWEEP])

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from totaldom import (
     is_dominating,
     is_total_dominating,
 )
+from totaldom.domination import _two_picks_possible
 
 from conftest import (
     brute_force_min_dominating,
@@ -370,6 +373,35 @@ class TestPruningSoundness:
         # of the search without that cut and without a limit
         res = solve(family(spec), SolverConfig(node_limit=10_000))
         assert (res.value, res.witness.mask) == (value, mask)
+
+
+class TestTwoPicksRefutation:
+    # the refutation of a node with two picks left, against every pair of
+    # live picks; covers of seeded random graphs, closed (gamma) and open
+    # (gamma_t), with cap the largest cover of the uncovered set by one live
+    # pick, so that a rest of exactly cap vertices occurs
+    def test_matches_all_pairs(self):
+        rng = random.Random(0x2F1C5)
+        for _ in range(200):
+            n = rng.randint(2, 10)
+            adj = [0] * n
+            for u, v in combinations(range(n), 2):
+                if rng.random() < 0.3:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            closed = [a | (1 << v) for v, a in enumerate(adj)]
+            for cover in (closed, adj):
+                for _ in range(10):
+                    unc = rng.randrange(1, 1 << n)
+                    live = rng.randrange(1 << n)
+                    members = [b for b in range(n) if live >> b & 1]
+                    cap = max(((cover[b] & unc).bit_count() for b in members), default=0)
+                    want = any(
+                        unc & ~(cover[a] | cover[b]) == 0 for a in members for b in members
+                    )
+                    assert _two_picks_possible(cover, unc, live, cap) == want, (
+                        cover, unc, live
+                    )
 
 
 class TestLimits:
