@@ -358,14 +358,40 @@ class TestScanGates:
 
 class TestScan:
     def test_jobs_do_not_change_results(self, monkeypatch):
-        # under a +1 shift the claims fail, and n = 6 spans several pool
-        # tasks, whose records must merge in one order
+        # under a +1 shift the claims fail, and at a width of 2^10 n = 6 spans
+        # several blocks, so a pool runs them and their records must merge in
+        # one order
         _shift_gamma_t(monkeypatch, 1)
+        monkeypatch.setattr(verify_mod, "_BITMAP_WIDTH", 1 << 10)
+        blocks = []
+        real_run = verify_mod._run_chunked
+
+        def run(worker, items, jobs):
+            blocks.extend(items)
+            return real_run(worker, items, jobs)
+
+        monkeypatch.setattr(verify_mod, "_run_chunked", run)
         claims = ("cockayne_upper", "sandwich")
         a = scan_bound_claims(range(1, 7), claims, jobs=1)
         b = scan_bound_claims(range(1, 7), claims, jobs=2)
+        assert [n for n, _, _ in blocks].count(6) == 2 * 2**15 // 2**10  # two runs
         assert a["cockayne_upper"][1]
         assert a == b
+
+    def test_jobs_do_not_change_results_at_n7(self):
+        # the pool at the real size, several blocks to a task
+        one = scan_bound_claims([7], SCAN_CLAIMS, jobs=1)
+        assert scan_bound_claims([7], SCAN_CLAIMS, jobs=2) == one
+
+    def test_width_does_not_change_results(self, monkeypatch):
+        # counts, records and their order, where the claims fail; the
+        # narrower a block, the more edges it holds constant
+        _shift_gamma_t(monkeypatch, 1)
+        expected = scan_bound_claims(range(1, 7), SCAN_CLAIMS)
+        assert expected["cockayne_upper"][1]
+        for width in (1 << 6, 1 << 10):
+            monkeypatch.setattr(verify_mod, "_BITMAP_WIDTH", width)
+            assert scan_bound_claims(range(1, 7), SCAN_CLAIMS) == expected, width
 
     def test_claims_only_select_what_is_reported(self):
         full = scan_bound_claims(range(1, 6), SCAN_CLAIMS, jobs=1)
