@@ -201,6 +201,8 @@ def _load_graph(args) -> Graph:
     if (args.input is None) == (args.family is None):
         raise ToolkitError("exactly one of --input or --family is required")
     if args.input is not None:
+        if args.seed is not None:
+            raise ToolkitError("--seed applies to --family only, not to --input")
         if args.input == "-":
             # bytes, decoded here: the text layer's decoding follows the locale
             try:

@@ -28,22 +28,17 @@ never raises ``ResourceExhausted``. The two strategies are
   ceil((uncovered - gain(u)) / g) reaches the incumbent, before recursing
   into it, and since the bound only grows along the decreasing gains, that
   cut ends the parent's loop. When at most two picks can still beat the
-  incumbent, the search finishes exactly instead of branching: u covers v
-  iff v covers u, so the one pick that covers a set R is a live common
-  neighbour of R, found by intersecting masks. With one pick left it takes
-  the lowest such vertex of the uncovered set; with two, it walks the
-  branching candidates in the search's order and pairs the first that
-  leaves a coverable rest with the lowest live common neighbour of that
-  rest, stopping at the first rest larger than the parent's largest gain
-  g, which no single pick covers (nor the larger rest of a later
-  candidate). Most nodes that start with two picks left hold no better
-  cover, so such a node is first refuted cheaply, before its scan: one of
-  the two picks covers the lowest uncovered vertex r, and the other is a
-  live common neighbour of the rest the first leaves, of at most g
-  vertices. When no live candidate of r leaves such a coverable rest, the
-  node ends there; otherwise the scan and the finish run as before and
-  pick the witness. None of these cuts drops a strictly better cover, so
-  values and witnesses are those the plain branching would find.
+  incumbent, the search finishes exactly instead of scanning and
+  branching. u covers v iff v covers u, so the one pick that covers a set
+  R is a live common neighbour of R, found by intersecting masks: with one
+  pick left, the finish takes the lowest such vertex of the uncovered set.
+  With two, one pick is a live candidate a of the lowest uncovered vertex:
+  the finish walks them in ascending order and takes the first a that
+  covers everything alone, or else the first a whose rest is covered by a
+  live common neighbour; a rest larger than the parent's largest gain g
+  fits no single pick. None of these cuts drops a strictly better cover,
+  so values are exact; a witness is canonical only under the exhaustive
+  strategy.
 
 A solve is pure: same graph and config, same result, bit for bit.
 """
@@ -83,17 +78,15 @@ class SolverConfig:
 class SolverStats:
     """Work done by one solve. The exhaustive strategy counts only subsets;
     branch and bound counts nodes, forced picks, its prunes by reason and
-    the times it improved on its incumbent. The last one or two picks that
-    could still beat the incumbent are finished without recursing, so they
-    are not ``branch_nodes`` (nor forced picks); a finish that finds no cover
-    counts as ``prunes_counting``, which with one pick left is exactly the
-    counting bound. A child that its parent cuts by the counting bound
-    counts once as ``prunes_counting`` (for it and its later siblings) and
-    is not a ``branch_node``. A node with two picks left that is refuted
-    before its scan is a ``branch_node`` and counts once as
-    ``prunes_counting``, so a dead vertex, a packing of three or a forced
-    pick there is not tallied under ``prunes_dead``, ``prunes_packing`` or
-    ``forced_picks``."""
+    the times it improved on its incumbent. Once at most two more picks
+    could beat the incumbent, a ``branch_node`` is finished exactly, without
+    the rest of its scan and without recursing: a finish that finds no
+    cover counts once as ``prunes_counting`` (with one pick left, exactly
+    the counting bound), and the dead vertex, packing or forced pick that
+    the scan might have met is not tallied under ``prunes_dead``,
+    ``prunes_packing`` or ``forced_picks``. A child that its parent cuts by
+    the counting bound counts once as ``prunes_counting`` (for it and its
+    later siblings) and is not a ``branch_node``."""
 
     subsets_examined: int = 0
     branch_nodes: int = 0
@@ -197,21 +190,27 @@ def _common_cover(cover: Sequence[int], targets: int, live: int) -> int:
     return live
 
 
-def _two_picks_possible(cover: Sequence[int], unc: int, live: int, cap: int) -> bool:
-    """Whether at most two picks of ``live`` cover the non-empty ``unc``,
-    given that no live vertex covers more than ``cap`` of it. One pick a
-    covers the lowest vertex r of ``unc``; the other covers the rest, so it
-    is a live common neighbour of that rest, which it cannot be when the
-    rest is larger than ``cap``."""
+def _two_picks(cover: Sequence[int], unc: int, live: int, cap: int) -> int:
+    """One or two picks of ``live`` that cover the non-empty ``unc``: the
+    lowest single pick if there is one, otherwise the first pair found, or 0
+    when no one or two picks do, given that no live vertex covers more than
+    ``cap`` of ``unc``. One pick a covers the lowest vertex r of ``unc``;
+    the other covers the rest, so it is a live common neighbour of that
+    rest, which it cannot be when the rest is larger than ``cap``."""
     low = unc & -unc
     m = cover[low.bit_length() - 1] & live
+    pair = 0
     while m:
         a = m & -m
         m ^= a
         rest = unc & ~cover[a.bit_length() - 1]
-        if not rest or (rest.bit_count() <= cap and _common_cover(cover, rest, live)):
-            return True
-    return False
+        if not rest:
+            return a
+        if not pair and rest.bit_count() <= cap:
+            common = _common_cover(cover, rest, live)
+            if common:
+                pair = a | (common & -common)
+    return pair
 
 
 def _bnb_min_cover(
@@ -250,15 +249,6 @@ def _bnb_min_cover(
                 raise ResourceExhausted("time limit exceeded")
 
         live = full & ~(chosen | banned)
-        if (
-            size + 3 == best_value
-            and covered != full
-            and not _two_picks_possible(cover, full & ~covered, live, cap)
-        ):
-            # with two picks left, most nodes hold no better cover: refute
-            # them cheaply, so that the scan runs only where one may be found
-            counting += 1
-            return
         # one scan of the uncovered vertices over their live candidates
         # (neither chosen nor banned): a vertex with none is dead, one with
         # a single candidate forces it, and the rest give the branching
@@ -274,13 +264,18 @@ def _bnb_min_cover(
                 incumbent += 1
                 return
             unc = full & ~covered
-            if size + 2 == best_value:
-                # one pick left: it must cover every uncovered vertex, so it
-                # is a live common neighbour of them all
-                common = _common_cover(cover, unc, live)
-                if common:
-                    best_value = size + 1
-                    best_mask = chosen | (common & -common)
+            if size + 3 >= best_value:
+                # one or two picks left: finish exactly, without the scan. A
+                # last pick is a live common neighbour of every uncovered
+                # vertex, which is cheaper to find than a walk over pairs
+                if size + 2 == best_value:
+                    picks = _common_cover(cover, unc, live)
+                    picks &= -picks
+                else:
+                    picks = _two_picks(cover, unc, live, cap)
+                if picks:
+                    best_value = size + picks.bit_count()
+                    best_mask = chosen | picks
                     updates += 1
                 else:
                     counting += 1
@@ -316,40 +311,6 @@ def _bnb_min_cover(
             size += 1
         if size + packed >= best_value:
             packing += 1
-            return
-
-        if size + 3 == best_value:
-            # two picks left: walk the branching candidates in the search's
-            # order, each banning the earlier ones. If any candidate covers
-            # everything alone, the first (of the highest gain) does, so the
-            # first pair found is optimal
-            order = []
-            m = branch
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
-                order.append((-(cover[u] & unc).bit_count(), u))
-            order.sort()
-            for _, u in order:
-                rest = unc & ~cover[u]
-                if not rest:
-                    best_value = size + 1
-                    best_mask = chosen | (1 << u)
-                    updates += 1
-                    return
-                if rest.bit_count() > cap:
-                    # no live candidate covers more than cap, so neither
-                    # this rest nor a later (larger) one fits one pick
-                    break
-                live ^= 1 << u
-                common = _common_cover(cover, rest, live)
-                if common:
-                    best_value = size + 2
-                    best_mask = chosen | (1 << u) | (common & -common)
-                    updates += 1
-                    return
-            counting += 1
             return
 
         order = []
@@ -431,8 +392,8 @@ def gamma_t(g: Graph, config: SolverConfig | None = None) -> DominationResult | 
     undefined."""
     if g.isolated_mask():
         return None
-    # n >= 2 here: a 1-vertex graph is all isolated
-    return _min_cover(g, g.adj_masks, max(2, -(-g.n // max(g.degrees()))), config)
+    # without isolated vertices Delta <= n - 1 < n, so ceil(n / Delta) >= 2
+    return _min_cover(g, g.adj_masks, -(-g.n // max(g.degrees())), config)
 
 
 def greedy_total_dominating(g: Graph) -> VertexSet | None:

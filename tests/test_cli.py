@@ -427,6 +427,22 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: <stdin>: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    @pytest.mark.parametrize("command", ["compute", "bounds"])
+    def test_seed_with_input_exit_2(self, capsys, tmp_path, command, from_config):
+        path = tmp_path / "path.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        if from_config:
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text("seed=5\n")
+            seed = ("--config", str(cfg))
+        else:
+            seed = ("--seed", "5")
+        code, out, err = run(capsys, command, "--input", str(path), *seed)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("argv", [VERIFY, SWEEP])
     def test_jobs_below_one_exit_2(self, capsys, argv, jobs):

@@ -21,7 +21,7 @@ from totaldom import (
     is_dominating,
     is_total_dominating,
 )
-from totaldom.domination import _two_picks_possible
+from totaldom.domination import _two_picks
 
 from conftest import (
     brute_force_min_dominating,
@@ -376,7 +376,7 @@ class TestPruningSoundness:
 
 
 class TestTwoPicksRefutation:
-    # the refutation of a node with two picks left, against every pair of
+    # the exact finish of a node with two picks left, against every pair of
     # live picks; covers of seeded random graphs, closed (gamma) and open
     # (gamma_t), with cap the largest cover of the uncovered set by one live
     # pick, so that a rest of exactly cap vertices occurs
@@ -396,12 +396,21 @@ class TestTwoPicksRefutation:
                     live = rng.randrange(1 << n)
                     members = [b for b in range(n) if live >> b & 1]
                     cap = max(((cover[b] & unc).bit_count() for b in members), default=0)
-                    want = any(
+                    singles = [a for a in members if unc & ~cover[a] == 0]
+                    pairs = any(
                         unc & ~(cover[a] | cover[b]) == 0 for a in members for b in members
                     )
-                    assert _two_picks_possible(cover, unc, live, cap) == want, (
-                        cover, unc, live
-                    )
+                    picks = _two_picks(cover, unc, live, cap)
+                    where = (cover, unc, live, picks)
+                    assert picks & ~live == 0, where
+                    assert picks.bit_count() == (1 if singles else 2 if pairs else 0), where
+                    if singles:
+                        assert picks == 1 << singles[0], where
+                    covered = 0
+                    for b in members:
+                        if picks >> b & 1:
+                            covered |= cover[b]
+                    assert not picks or unc & ~covered == 0, where
 
 
 class TestLimits:
