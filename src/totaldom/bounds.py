@@ -21,8 +21,6 @@ BOUND_IDS = (
     "girth_upper",
 )
 
-_LOWER_BOUNDS = {"n_over_delta_lower"}
-
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -21,24 +21,24 @@ never raises ``ResourceExhausted``. The two strategies are
   set of uncovered vertices with pairwise disjoint live candidate sets,
   each of which needs its own pick (for gamma_t, the open-packing bound
   rho_o(G) <= gamma_t(G)); and the counting bound, ceil(uncovered / the
-  largest number of uncovered vertices one live candidate covers). A
-  child's live and uncovered sets are subsets of its parent's, so no
-  candidate of the child gains more than that largest gain g of its
+  largest number of uncovered vertices one live candidate covers), applied
+  per child. A child's live and uncovered sets are subsets of its parent's,
+  so no candidate of the child gains more than that largest gain g of its
   parent: the parent cuts the child that picks u once |S| + 1 +
   ceil((uncovered - gain(u)) / g) reaches the incumbent, before recursing
   into it, and since the bound only grows along the decreasing gains, that
-  cut ends the parent's loop. When at most two picks can still beat the
-  incumbent, the search finishes exactly instead of scanning and
-  branching. u covers v iff v covers u, so the one pick that covers a set
-  R is a live common neighbour of R, found by intersecting masks: with one
-  pick left, the finish takes the lowest such vertex of the uncovered set.
-  With two, one pick is a live candidate a of the lowest uncovered vertex:
-  the finish walks them in ascending order and takes the first a that
-  covers everything alone, or else the first a whose rest is covered by a
-  live common neighbour; a rest larger than the parent's largest gain g
-  fits no single pick. None of these cuts drops a strictly better cover,
-  so values are exact; a witness is canonical only under the exhaustive
-  strategy.
+  cut ends the parent's loop. A node needs no counting check of its own:
+  its first child gains at most g, so the node's bound implies that child's
+  cut. When at most two picks can still beat the incumbent, one walk
+  finishes the node exactly instead of scanning and branching. Some pick
+  covers the lowest uncovered vertex r, and u covers v iff v covers u, so
+  that pick is a live candidate of r: the walk takes these candidates a in
+  ascending order and returns the first a that covers everything alone,
+  or else, with two picks left, the first a whose rest is covered by a
+  live common neighbour, found by intersecting masks; a rest larger than
+  the parent's largest gain g fits no single pick. None of these cuts
+  drops a strictly better cover, so values are exact; a witness is
+  canonical only under the exhaustive strategy.
 
 A solve is pure: same graph and config, same result, bit for bit.
 """
@@ -79,14 +79,15 @@ class SolverStats:
     """Work done by one solve. The exhaustive strategy counts only subsets;
     branch and bound counts nodes, forced picks, its prunes by reason and
     the times it improved on its incumbent. Once at most two more picks
-    could beat the incumbent, a ``branch_node`` is finished exactly, without
-    the rest of its scan and without recursing: a finish that finds no
-    cover counts once as ``prunes_counting`` (with one pick left, exactly
-    the counting bound), and the dead vertex, packing or forced pick that
-    the scan might have met is not tallied under ``prunes_dead``,
-    ``prunes_packing`` or ``forced_picks``. A child that its parent cuts by
-    the counting bound counts once as ``prunes_counting`` (for it and its
-    later siblings) and is not a ``branch_node``."""
+    could beat the incumbent, a ``branch_node`` is finished exactly by one
+    walk, without the rest of its scan and without recursing: a finish that
+    finds no cover counts once as ``prunes_counting``, and the dead vertex,
+    packing or forced pick that the scan might have met is not tallied under
+    ``prunes_dead``, ``prunes_packing`` or ``forced_picks``. The counting
+    bound is applied per child: a child that its parent cuts by it counts
+    once as ``prunes_counting`` (for it and its later siblings) and is not a
+    ``branch_node``; a node whose own counting bound holds has its first
+    child cut so."""
 
     subsets_examined: int = 0
     branch_nodes: int = 0
@@ -180,23 +181,16 @@ def _greedy_cover(cover: Sequence[int], n: int) -> int:
     return chosen
 
 
-def _common_cover(cover: Sequence[int], targets: int, live: int) -> int:
-    """The vertices of ``live`` that cover every vertex of ``targets``: with
-    symmetric covers, ``live`` and the covers of the targets intersected."""
-    while targets and live:
-        low = targets & -targets
-        live &= cover[low.bit_length() - 1]
-        targets ^= low
-    return live
-
-
 def _two_picks(cover: Sequence[int], unc: int, live: int, cap: int) -> int:
     """One or two picks of ``live`` that cover the non-empty ``unc``: the
     lowest single pick if there is one, otherwise the first pair found, or 0
     when no one or two picks do, given that no live vertex covers more than
     ``cap`` of ``unc``. One pick a covers the lowest vertex r of ``unc``;
     the other covers the rest, so it is a live common neighbour of that
-    rest, which it cannot be when the rest is larger than ``cap``."""
+    rest, which it cannot be when the rest is larger than ``cap``. With
+    symmetric covers, the live common neighbours of a set are ``live`` and
+    the covers of its members intersected. With ``cap`` 0 only a single
+    pick is sought: the lowest live vertex covering ``unc``, or 0."""
     low = unc & -unc
     m = cover[low.bit_length() - 1] & live
     pair = 0
@@ -207,7 +201,11 @@ def _two_picks(cover: Sequence[int], unc: int, live: int, cap: int) -> int:
         if not rest:
             return a
         if not pair and rest.bit_count() <= cap:
-            common = _common_cover(cover, rest, live)
+            common = live
+            while rest and common:
+                r = rest & -rest
+                common &= cover[r.bit_length() - 1]
+                rest ^= r
             if common:
                 pair = a | (common & -common)
     return pair
@@ -265,14 +263,9 @@ def _bnb_min_cover(
                 return
             unc = full & ~covered
             if size + 3 >= best_value:
-                # one or two picks left: finish exactly, without the scan. A
-                # last pick is a live common neighbour of every uncovered
-                # vertex, which is cheaper to find than a walk over pairs
-                if size + 2 == best_value:
-                    picks = _common_cover(cover, unc, live)
-                    picks &= -picks
-                else:
-                    picks = _two_picks(cover, unc, live, cap)
+                # one or two picks left: finish exactly, without the scan;
+                # with one left, cap 0 lets the walk seek no pair
+                picks = _two_picks(cover, unc, live, cap if size + 3 == best_value else 0)
                 if picks:
                     best_value = size + picks.bit_count()
                     best_mask = chosen | picks
@@ -325,16 +318,14 @@ def _bnb_min_cover(
                 max_gain = gain
             if branch >> u & 1:
                 order.append((-gain, u))
-        left = unc.bit_count()
-        if size + -(-left // max_gain) >= best_value:
-            counting += 1
-            return
 
         # every cover holding u was searched in u's branch, so the later
         # siblings leave u out. No candidate of a child gains more than
         # max_gain, so the counting bound of a child is known here; it only
-        # grows along the order, so the first child it cuts ends the loop
+        # grows along the order, so the first child it cuts ends the loop.
+        # The first child's cut implies this node's own counting bound
         order.sort()
+        left = unc.bit_count()
         for neg_gain, u in order:
             if size + 1 >= best_value:
                 break

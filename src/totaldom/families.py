@@ -101,6 +101,8 @@ class FamilySpec:
         k, n, d, t, r, p = self.kind, self.n, self.d, self.t, self.r, self.p
         if n is not None and n < 1:
             raise InvalidFamily(f"{k.value}: n must be >= 1")
+        if k is FamilyKind.CYCLE and n < 3:
+            raise InvalidFamily(f"cycle: requires n >= 3, got {n}")
         if k is FamilyKind.CIRCULAR_COMPLETE and (d < 1 or n < 2 * d):
             raise InvalidFamily(f"circular: requires d >= 1 and n >= 2d, got n={n}, d={d}")
         if k is FamilyKind.STAR and t < 1:
@@ -217,8 +219,6 @@ def _gen_path(spec: FamilySpec) -> Graph:
 
 
 def _gen_cycle(spec: FamilySpec) -> Graph:
-    if spec.n < 3:
-        raise InvalidFamily(f"cycle: requires n >= 3, got {spec.n}")
     edges = [(i, i + 1) for i in range(spec.n - 1)] + [(spec.n - 1, 0)]
     return Graph(spec.n, edges)
 

@@ -109,7 +109,6 @@ _RANDOM_EDGE_PROBS = (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))
 @dataclass
 class VerificationReport:
     theorem: TheoremId
-    domain: str
     instances_checked: int
     counterexamples: list[dict]
     elapsed_seconds: float
@@ -501,8 +500,8 @@ class _Tally(NamedTuple):
 
 # what a check returns: claim -> (bound attained, counterexample detail or None)
 _Results = dict[str, tuple[bool, dict | None]]
-# what a row returns: domain text, class-part tally (None for closed forms), other tallies
-_Row = tuple[str, _Tally | None, list[_Tally]]
+# what a row returns: class-part tally (None for closed forms), other tallies
+_Row = tuple[_Tally | None, list[_Tally]]
 
 
 def _evaluate(g: Graph, claims: Sequence[str], spec: FamilySpec | None) -> _Results:
@@ -630,27 +629,22 @@ def shared_domains() -> Iterator[None]:
         _shared.pop()
 
 
-def _graph_row(graphs: str, claim: str, scale: str) -> _Row:
+def _graph_row(claim: str, scale: str) -> _Row:
     n_max = 6 if scale == "quick" else 7
-    domain = graphs.format(n_max)
-    domain += ", one isomorphism class at a time, weighted by its labelings"
     tallies = _shared[-1] if _shared else {}
     if n_max not in tallies:
         tallies[n_max] = _tally(_class_domain(range(1, n_max + 1)), SCAN_CLAIMS)
     extra = []
     if claim in _RANDOM_GRAPH_CLAIMS:
-        domain += ", plus 500 seeded random graphs on n <= 16"
         if not _random_graph_tallies:
             specs = random_graph_specs()
             _random_graph_tallies.update(_tally(_spec_domain(specs), _RANDOM_GRAPH_CLAIMS))
         extra.append(_random_graph_tallies[claim])
-    return domain, tallies[n_max][claim], extra
+    return tallies[n_max][claim], extra
 
 
 def _tree_star_row(claim: str, scale: str) -> _Row:
     return (
-        "all free trees on 2 <= n <= 8, each weighted by its labelings, "
-        "plus 200 seeded random trees on n <= 16",
         _tally(_class_domain(range(2, 9), trees=True), [claim], _tree_star)[claim],
         [_tally(_spec_domain(random_tree_specs()), [claim], _tree_star)[claim]],
     )
@@ -660,8 +654,7 @@ def _path_cycle_row(claim: str, scale: str) -> _Row:
     n_max = 20 if scale == "quick" else 24
     kinds = (FamilyKind.PATH, FamilyKind.CYCLE)
     specs = [FamilySpec(kind=k, n=n) for n in range(3, n_max + 1) for k in kinds]
-    domain = f"paths and cycles, 3 <= n <= {n_max}, closed form vs exact solver"
-    return domain, None, [_tally(_spec_domain(specs), [claim], _closed_form)[claim]]
+    return None, [_tally(_spec_domain(specs), [claim], _closed_form)[claim]]
 
 
 def _circular_row(claim: str, scale: str) -> _Row:
@@ -673,28 +666,12 @@ def _circular_row(claim: str, scale: str) -> _Row:
         for n in range(3 * d, n_cap + 1)
         if (n >= 4 * d - 2) == two
     ]
-    regime = "n >= 4d-2" if two else "3d <= n <= 4d-3"
-    domain = (
-        f"circular complete grid, d in 3..{d_max}, {regime}, n <= {n_cap}; "
-        "closed form and witness vs exact solver"
-    )
-    return domain, None, [_tally(_spec_domain(specs), [claim], _closed_form)[claim]]
+    return None, [_tally(_spec_domain(specs), [claim], _closed_form)[claim]]
 
 
-_ALL_GRAPHS = partial(_graph_row, "all graphs on n <= {} passing the hypothesis")
 _ROWS = {
-    "cockayne_upper": _ALL_GRAPHS,
-    "connected_upper": _ALL_GRAPHS,
-    "n_over_delta_lower": _ALL_GRAPHS,
-    "diam2_upper": _ALL_GRAPHS,
-    "girth_upper": _ALL_GRAPHS,
-    "sandwich": _ALL_GRAPHS,
+    **dict.fromkeys(SCAN_CLAIMS, _graph_row),
     "path_cycle_formula": _path_cycle_row,
-    "bipartite_extremal": partial(
-        _graph_row,
-        "all bipartite graphs without isolated vertices on n <= {}, "
-        "both directions of the extremal characterization",
-    ),
     "tree_star": _tree_star_row,
     "circular_two": _circular_row,
     "circular_three": _circular_row,
@@ -707,12 +684,11 @@ def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> Verificat
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     t0 = time.perf_counter()
-    domain, by_class, extra = _ROWS[theorem.value](theorem.value, scale)
+    by_class, extra = _ROWS[theorem.value](theorem.value, scale)
     parts = extra if by_class is None else [by_class, *extra]
     cex = sorted((record for p in parts for record in p.counterexamples), key=_cex_sort_key)
     return VerificationReport(
         theorem=theorem,
-        domain=domain,
         instances_checked=sum(p.instances for p in parts),
         counterexamples=cex,
         elapsed_seconds=time.perf_counter() - t0,

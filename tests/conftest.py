@@ -5,12 +5,21 @@ work on plain Python sets so that solver results are checked against a
 second, unrelated code path.
 """
 
+import os
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import totaldom
 from totaldom import Graph
+
+# the tests that run `python -m totaldom` in a child process run the package
+# under test, also where only pytest's own `pythonpath` setting finds it
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(totaldom.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 def adjacency_sets(n, edges):

@@ -258,7 +258,6 @@ class TestVerifyCommand:
         def fake_verify(theorem, scale="quick", jobs=1):
             return VerificationReport(
                 theorem=theorem,
-                domain="synthetic",
                 instances_checked=1,
                 counterexamples=[
                     {"instance": {"n": 2, "edges": [[0, 1]]}, "detail": {"x": 1}}
@@ -280,6 +279,13 @@ class TestSweepCommand:
         lines = out.splitlines()
         assert lines[0].startswith("family,n,d,t,r,p,seed,gamma,gamma_t")
         assert len(lines) == 5
+
+    def test_too_small_cycles_skipped(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "cycle:n=1..4")
+        assert code == 0
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+            ["cycle", "3"], ["cycle", "4"],
+        ]
 
     def test_json_output(self, capsys):
         code, out, _ = run(

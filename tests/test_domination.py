@@ -379,7 +379,8 @@ class TestTwoPicksRefutation:
     # the exact finish of a node with two picks left, against every pair of
     # live picks; covers of seeded random graphs, closed (gamma) and open
     # (gamma_t), with cap the largest cover of the uncovered set by one live
-    # pick, so that a rest of exactly cap vertices occurs
+    # pick, so that a rest of exactly cap vertices occurs; and with one pick
+    # left, cap 0, against every single live pick
     def test_matches_all_pairs(self):
         rng = random.Random(0x2F1C5)
         for _ in range(200):
@@ -411,6 +412,10 @@ class TestTwoPicksRefutation:
                         if picks >> b & 1:
                             covered |= cover[b]
                     assert not picks or unc & ~covered == 0, where
+                    # cap 0, the one-pick finish: the lowest single, never a pair
+                    single = _two_picks(cover, unc, live, 0)
+                    where = (cover, unc, live, single)
+                    assert single == (1 << singles[0] if singles else 0), where
 
 
 class TestLimits:

@@ -224,6 +224,7 @@ class TestRanges:
         # n < 2d combinations drop out instead of erroring
         specs = parse_family_range("circular:d=3,n=4..8")
         assert [s.n for s in specs] == [6, 7, 8]
+        assert [s.n for s in parse_family_range("cycle:n=1..5")] == [3, 4, 5]
 
     def test_single_values_allowed(self):
         assert len(parse_family_range("path:n=5")) == 1

@@ -293,7 +293,7 @@ class TestClassRouteAgreesWithScan:
             if extremal != star:
                 detail = {"gamma_t": gt, "extremal": extremal, "star": star}
                 cex.append({"instance": {"family": str(spec)}, "detail": detail})
-        _, _, (random_trees,) = verify_mod._tree_star_row("tree_star", "quick")
+        _, (random_trees,) = verify_mod._tree_star_row("tree_star", "quick")
         assert random_trees.instances == len(random_tree_specs())
         assert random_trees.counterexamples == sorted(cex, key=_cex_sort_key)
         assert bool(cex) == bool(shift)
@@ -568,7 +568,6 @@ class TestVerifyArms:
     def test_verdict_fail_on_counterexamples(self):
         r = VerificationReport(
             theorem=TheoremId.SANDWICH,
-            domain="synthetic",
             instances_checked=1,
             counterexamples=[{"instance": {"n": 2, "edges": []}, "detail": {}}],
             elapsed_seconds=0.0,
