@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidFamily, NotATree, OutOfDomain, UndefinedValue
-from .graph import Graph, StructuralProfile, component_masks, profile
+from .graph import Graph, StructuralProfile, is_connected_masks, profile
 from .vertexset import VertexSet
 
 BOUND_IDS = (
@@ -128,46 +128,20 @@ class StarMatchingShape:
         return self.t + 1 + 2 * self.r
 
 
-def _star_leaves(g: Graph, comp: int) -> int | None:
-    """Leaf count if the component induces a star, else None."""
-    size = comp.bit_count()
-    if size < 2:
-        return None
-    center_seen = 0
-    m = comp
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        deg = g.adj_masks[v].bit_count()
-        if deg == size - 1:
-            center_seen += 1
-        elif deg != 1:
-            return None
-    # size == 2 gives two degree-1 "centers"; larger stars exactly one
-    if size == 2:
-        return 1 if center_seen == 2 else None
-    return size - 1 if center_seen == 1 else None
-
-
 def recognize_star_plus_matching(g: Graph) -> StarMatchingShape | None:
-    """Recognize graphs that are one star plus r disjoint edges.
+    """Recognize graphs that are one star plus r disjoint edges, by degrees.
 
-    All-matching graphs (every component a single edge) canonicalize to
-    t=1 with r = component count - 1. Any isolated vertex disqualifies.
+    The shape holds exactly when no vertex has degree 0 and at most one has
+    degree >= 2: every neighbour of that centre is then a leaf, and every
+    other vertex is a leaf whose neighbour is a leaf too, so the rest is a
+    perfect matching. All-matching graphs (every degree 1) canonicalize to
+    t=1 with r = component count - 1.
     """
-    shapes = []
-    for comp in component_masks(g.adj_masks, g.n):
-        leaves = _star_leaves(g, comp)
-        if leaves is None:
-            return None
-        shapes.append(leaves)
-    big = [t for t in shapes if t >= 2]
-    if len(big) > 1:
+    degs = g.degrees()
+    if min(degs) == 0 or sum(d >= 2 for d in degs) > 1:
         return None
-    if big:
-        return StarMatchingShape(t=big[0], r=len(shapes) - 1)
-    return StarMatchingShape(t=1, r=len(shapes) - 1)
+    t = max(degs)
+    return StarMatchingShape(t=t, r=(g.n - t - 1) // 2)
 
 
 def achieves_extremal(g: Graph, exact: int) -> bool:
@@ -179,6 +153,6 @@ def achieves_extremal(g: Graph, exact: int) -> bool:
 
 def is_extremal_tree(g: Graph, exact: int) -> bool:
     """Extremality test restricted to trees; coincides with being a star."""
-    if g.m != g.n - 1 or not profile(g).is_connected:
+    if g.m != g.n - 1 or not is_connected_masks(g.adj_masks, g.n):
         raise NotATree(f"graph with n={g.n}, m={g.m} is not a tree")
     return achieves_extremal(g, exact)

@@ -332,7 +332,7 @@ def _cmd_verify(args) -> int:
                 f"unknown theorem {args.theorem!r}; try 'verify --list'"
             ) from None
     with shared_domains():
-        reports = [verify(t, scale=args.scale, jobs=args.jobs) for t in ids]
+        reports = [verify(t, scale=args.scale) for t in ids]
     if args.format == "json":
         print(
             json.dumps(

@@ -373,7 +373,8 @@ def _min_cover(
 
 
 def gamma(g: Graph, config: SolverConfig | None = None) -> DominationResult:
-    """Exact domination number with a canonical optimal witness."""
+    """Exact domination number with an optimal witness (canonical under the
+    exhaustive strategy)."""
     closed = [a | (1 << v) for v, a in enumerate(g.adj_masks)]
     return _min_cover(g, closed, -(-g.n // (max(g.degrees()) + 1)), config)
 

@@ -173,9 +173,9 @@ def parse_family_range(text: str) -> list[FamilySpec]:
 
     Ranges expand as a cartesian product in canonical parameter order with
     the last parameter varying fastest. Combinations that violate the
-    family's constraints are skipped. Raises DomainTooLarge, before any spec
-    is built, when there are more than SWEEP_BUDGET combinations, valid or
-    not.
+    family's constraints are skipped; when none is left, the first one's
+    InvalidFamily is raised. Raises DomainTooLarge, before any spec is
+    built, when there are more than SWEEP_BUDGET combinations, valid or not.
     """
     kind, raw = _parse_kind_params(text)
     axes: dict[str, Sequence] = {}
@@ -198,11 +198,14 @@ def parse_family_range(text: str) -> list[FamilySpec]:
             f"{SWEEP_BUDGET} instances"
         )
     specs: list[FamilySpec] = []
+    first_error = None
     for values in product(*(axes[name] for name in names)):
         try:
             specs.append(FamilySpec(kind=kind, **dict(zip(names, values))))
-        except InvalidFamily:
-            pass
+        except InvalidFamily as exc:
+            first_error = first_error or exc
+    if not specs:
+        raise first_error
     return specs
 
 

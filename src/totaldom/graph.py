@@ -145,7 +145,7 @@ class StructuralProfile:
     bipartition: tuple[VertexSet, VertexSet] | None
 
 
-# -- mask-level helpers (shared with families and verify hot paths) ----------
+# -- mask-level helpers (shared with bounds and verify) ----------------------
 
 
 def bfs_layers(adj: Sequence[int], start: int) -> list[int]:
@@ -168,25 +168,8 @@ def bfs_layers(adj: Sequence[int], start: int) -> list[int]:
     return layers
 
 
-def reachable_mask(adj: Sequence[int], start: int) -> int:
-    """Bitmask of vertices reachable from ``start``."""
-    return sum(bfs_layers(adj, start))  # the layers are disjoint
-
-
 def is_connected_masks(adj: Sequence[int], n: int) -> bool:
-    return reachable_mask(adj, 0) == (1 << n) - 1
-
-
-def component_masks(adj: Sequence[int], n: int) -> list[int]:
-    """Connected components as bitmasks, ordered by lowest member."""
-    remaining = (1 << n) - 1
-    out = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = reachable_mask(adj, start)
-        out.append(comp)
-        remaining &= ~comp
-    return out
+    return sum(bfs_layers(adj, 0)) == (1 << n) - 1  # the layers are disjoint
 
 
 def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:

@@ -678,9 +678,9 @@ _ROWS = {
 }
 
 
-def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> VerificationReport:
-    """Run one claim over its verification domain, sharing the class tallies
-    of the open run. Every domain is evaluated in-process: ``jobs`` is unused."""
+def verify(theorem: TheoremId, scale: str = "quick") -> VerificationReport:
+    """Run one claim over its verification domain, in-process, sharing the
+    class tallies of the open run."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     t0 = time.perf_counter()
@@ -697,9 +697,9 @@ def verify(theorem: TheoremId, scale: str = "quick", jobs: int = 1) -> Verificat
     )
 
 
-def verify_all(scale: str = "quick", jobs: int = 1) -> list[VerificationReport]:
+def verify_all(scale: str = "quick") -> list[VerificationReport]:
     with shared_domains():
-        return [verify(t, scale, jobs) for t in TheoremId]
+        return [verify(t, scale) for t in TheoremId]
 
 
 # -- sweeps ---------------------------------------------------------------------

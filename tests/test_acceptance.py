@@ -141,7 +141,7 @@ def test_criterion_4_bipartite_extremal_n7(scan_n7):
 
 
 def test_criterion_5_tree_corollary():
-    r = verify(TheoremId.TREE_STAR, scale="full", jobs=1)
+    r = verify(TheoremId.TREE_STAR, scale="full")
     report(
         "criterion 5 (trees extremal iff star: exhaustive n <= 8 plus 200 random n <= 16)",
         r.verdict == "PASS" and r.instances_checked == 280_592,

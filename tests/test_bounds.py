@@ -1,5 +1,6 @@
 import json
 
+import networkx as nx
 import pytest
 
 from totaldom import (
@@ -17,6 +18,7 @@ from totaldom import (
     generate,
     is_extremal_tree,
     is_total_dominating,
+    isomorphism_classes,
     path_cycle_formula,
     profile,
     recognize_star_plus_matching,
@@ -236,6 +238,32 @@ class TestRecognizer:
     def test_star_with_extra_edge_rejected(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
         assert recognize_star_plus_matching(g) is None
+
+    def test_matches_components_on_every_class_up_to_7(self):
+        # a second route to the shape: networkx components, each a star (a
+        # tree with a vertex adjacent to all the others), at most one of them
+        # on three or more vertices
+        checked = 0
+        for n in range(1, 8):
+            for adj, _ in isomorphism_classes(n):
+                g = Graph.from_masks(adj)
+                h = nx.Graph(list(g.edges()))
+                h.add_nodes_from(range(n))
+                comps = [h.subgraph(c) for c in nx.connected_components(h)]
+                stars = all(
+                    c.number_of_nodes() >= 2
+                    and nx.is_tree(c)
+                    and max(d for _, d in c.degree()) == c.number_of_nodes() - 1
+                    for c in comps
+                )
+                big = sum(c.number_of_nodes() >= 3 for c in comps)
+                shape = recognize_star_plus_matching(g)
+                assert (shape is not None) == (stars and big <= 1), adj
+                if shape is not None:
+                    largest = max(c.number_of_nodes() for c in comps)
+                    assert (shape.t, shape.r) == (largest - 1, len(comps) - 1), adj
+                checked += 1
+        assert checked == 1252
 
 
 class TestExtremal:

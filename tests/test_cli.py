@@ -255,7 +255,7 @@ class TestVerifyCommand:
         import totaldom.cli as cli_mod
         from totaldom import TheoremId, VerificationReport
 
-        def fake_verify(theorem, scale="quick", jobs=1):
+        def fake_verify(theorem, scale="quick"):
             return VerificationReport(
                 theorem=theorem,
                 instances_checked=1,
@@ -286,6 +286,12 @@ class TestSweepCommand:
         assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
             ["cycle", "3"], ["cycle", "4"],
         ]
+
+    def test_no_valid_combination_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "cycle:n=2")
+        assert (code, out) == (2, "")
+        assert err == run(capsys, "compute", "--family", "cycle:n=2")[2]
+        assert err == "error: cycle: requires n >= 3, got 2\n"
 
     def test_json_output(self, capsys):
         code, out, _ = run(

@@ -226,6 +226,13 @@ class TestRanges:
         assert [s.n for s in specs] == [6, 7, 8]
         assert [s.n for s in parse_family_range("cycle:n=1..5")] == [3, 4, 5]
 
+    def test_no_valid_combination_raises(self):
+        # the first combination's error, as FamilySpec.parse gives for it
+        with pytest.raises(InvalidFamily, match="n >= 3, got 1"):
+            parse_family_range("cycle:n=1..2")
+        with pytest.raises(InvalidFamily, match="got n=4, d=3"):
+            parse_family_range("circular:d=3,n=4..5")
+
     def test_single_values_allowed(self):
         assert len(parse_family_range("path:n=5")) == 1
 

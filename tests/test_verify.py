@@ -511,8 +511,8 @@ class TestVerifyArms:
         assert r.instances_checked >= 72
 
     def test_reports_deterministic(self):
-        a = verify(TheoremId.DIAM2_UPPER, "quick", jobs=2)
-        b = verify(TheoremId.DIAM2_UPPER, "quick", jobs=1)
+        a = verify(TheoremId.DIAM2_UPPER, "quick")
+        b = verify(TheoremId.DIAM2_UPPER, "quick")
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_invalid_scale(self):
@@ -529,7 +529,7 @@ class TestVerifyArms:
         json.dumps(with_elapsed)
 
     def test_verify_all_runs_every_claim_in_order(self):
-        reports = verify_all("quick", jobs=2)
+        reports = verify_all("quick")
         assert [r.theorem for r in reports] == list(TheoremId)
         assert all(r.verdict == "PASS" for r in reports)
 
