@@ -31,6 +31,7 @@ Every pass of either route checks all seven graph claims (``SCAN_CLAIMS``):
 the claims a caller names only choose what is reported. The other domains
 are evaluated for what their claim reads: ``tree_star`` only Delta and
 gamma_t of each tree, the closed forms a formula against the exact solver.
+The seeded family domains are kept for the process, the classes for a run.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ class VerificationReport:
         return "PASS" if not self.counterexamples else "FAIL"
 
     def stats(self) -> dict:
-        """The fields ``--stats`` adds: elapsed milliseconds (a domain that claims
-        share is charged to the first that needs it), and class and tightness counts."""
+        """The fields ``--stats`` adds: elapsed milliseconds (a domain is charged
+        to the first claim that needs it in its run, a seeded family domain in
+        its process), and class and tightness counts."""
         out = {"elapsed_ms": int(self.elapsed_seconds * 1000)}
         if self.classes is not None:
             out["classes"] = self.classes
@@ -605,17 +607,21 @@ def _class_domain(n_values: Iterable[int], trees: bool = False) -> Iterator:
             yield Graph.from_masks(adj), weight, None
 
 
-def _spec_domain(specs: Iterable[FamilySpec]) -> Iterator:
-    for spec in specs:
-        yield generate(spec), 1, spec
-
-
-# One evaluation per domain, for all the claims that read it. The random graphs'
-# tallies are kept for the process, filled on first use, so that a warm pass does
-# not solve them again; the classes' are kept by n_max for one verify run.
+# One evaluation per domain, for all the claims that read it. The seeded family
+# domains' tallies are kept for the process, filled on first use, so that a warm
+# pass solves none of them again; the classes' are kept by n_max for one verify run.
 _RANDOM_GRAPH_CLAIMS = ("connected_upper", "diam2_upper", "girth_upper")
-_random_graph_tallies: dict[str, _Tally] = {}
+_spec_tallies: dict[tuple, dict[str, _Tally]] = {}  # by (specs, *args) of _spec_part
 _shared: list[dict[int, dict[str, _Tally]]] = []  # the open runs' class stores
+
+
+def _spec_part(claims: Sequence[str], check, specs: Callable, *args) -> dict[str, _Tally]:
+    """The tallies of ``claims`` by ``check`` over ``specs(*args)``, kept for the process."""
+    key = (specs, *args)
+    if key not in _spec_tallies:
+        domain = ((generate(spec), 1, spec) for spec in specs(*args))
+        _spec_tallies[key] = _tally(domain, claims, check)
+    return _spec_tallies[key]
 
 
 @contextmanager
@@ -635,46 +641,40 @@ def _graph_row(claim: str, scale: str) -> _Row:
     if n_max not in tallies:
         tallies[n_max] = _tally(_class_domain(range(1, n_max + 1)), SCAN_CLAIMS)
     extra = []
-    if claim in _RANDOM_GRAPH_CLAIMS:
-        if not _random_graph_tallies:
-            specs = random_graph_specs()
-            _random_graph_tallies.update(_tally(_spec_domain(specs), _RANDOM_GRAPH_CLAIMS))
-        extra.append(_random_graph_tallies[claim])
+    if claim in _RANDOM_GRAPH_CLAIMS:  # the same random graphs at either scale
+        extra.append(_spec_part(_RANDOM_GRAPH_CLAIMS, _evaluate, random_graph_specs)[claim])
     return tallies[n_max][claim], extra
 
 
 def _tree_star_row(claim: str, scale: str) -> _Row:
-    return (
-        _tally(_class_domain(range(2, 9), trees=True), [claim], _tree_star)[claim],
-        [_tally(_spec_domain(random_tree_specs()), [claim], _tree_star)[claim]],
-    )
+    classes = _tally(_class_domain(range(2, 9), trees=True), [claim], _tree_star)[claim]
+    return classes, [_spec_part([claim], _tree_star, random_tree_specs)[claim]]
 
 
-def _path_cycle_row(claim: str, scale: str) -> _Row:
-    n_max = 20 if scale == "quick" else 24
-    kinds = (FamilyKind.PATH, FamilyKind.CYCLE)
-    specs = [FamilySpec(kind=k, n=n) for n in range(3, n_max + 1) for k in kinds]
-    return None, [_tally(_spec_domain(specs), [claim], _closed_form)[claim]]
-
-
-def _circular_row(claim: str, scale: str) -> _Row:
+def _closed_form_specs(claim: str, scale: str) -> list[FamilySpec]:
+    """The paths and cycles, or the circular graphs, of a closed-form claim."""
+    if claim == "path_cycle_formula":
+        n_max = 20 if scale == "quick" else 24
+        kinds = (FamilyKind.PATH, FamilyKind.CYCLE)
+        return [FamilySpec(kind=k, n=n) for n in range(3, n_max + 1) for k in kinds]
     d_max, n_cap = (6, 36) if scale == "quick" else (8, 48)
     two = _CIRCULAR_VALUE[claim] == 2
-    specs = [
+    return [
         FamilySpec(kind=FamilyKind.CIRCULAR_COMPLETE, n=n, d=d)
         for d in range(3, d_max + 1)
         for n in range(3 * d, n_cap + 1)
         if (n >= 4 * d - 2) == two
     ]
-    return None, [_tally(_spec_domain(specs), [claim], _closed_form)[claim]]
+
+
+def _closed_form_row(claim: str, scale: str) -> _Row:
+    return None, [_spec_part([claim], _closed_form, _closed_form_specs, claim, scale)[claim]]
 
 
 _ROWS = {
     **dict.fromkeys(SCAN_CLAIMS, _graph_row),
-    "path_cycle_formula": _path_cycle_row,
+    **dict.fromkeys(("path_cycle_formula", "circular_two", "circular_three"), _closed_form_row),
     "tree_star": _tree_star_row,
-    "circular_two": _circular_row,
-    "circular_three": _circular_row,
 }
 
 

@@ -2,6 +2,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import totaldom
+
 SRC = Path(__file__).parent.parent / "src" / "totaldom"
 
 # names verify.py imports only so that perfbench's traced run can wrap them
@@ -33,3 +35,11 @@ def test_tracer_only_imports_are_wrapped(monkeypatch):
     wraps = importlib.import_module("workloads").trace_wraps()
     wrapped = {w.attr for w in wraps if w.module.__name__ == "totaldom.verify"}
     assert TRACER_ONLY["verify.py"] <= wrapped
+
+
+def test_package_verify_is_the_function_not_the_module():
+    # the package re-exports the function under its submodule's name, so the
+    # module is reached through the import system (see the README)
+    module = importlib.import_module("totaldom.verify")
+    assert totaldom.verify is module.verify
+    assert module.__name__ == "totaldom.verify"

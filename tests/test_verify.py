@@ -159,9 +159,10 @@ def _shift_gamma_t(monkeypatch, shift):
 
     monkeypatch.setattr(verify_mod, "_total_cover_layers", layers)
     monkeypatch.setattr(verify_mod, "gamma_t", solver)
-    # the random-graph tallies are kept by their specs alone: the shifted
-    # solver fills a store of its own, empty on entry and dropped on teardown
-    monkeypatch.setattr(verify_mod, "_random_graph_tallies", {})
+    # the seeded family domains' tallies are kept by domain, not by solver:
+    # the shifted solver fills a store of its own, empty on entry and dropped
+    # on teardown
+    monkeypatch.setattr(verify_mod, "_spec_tallies", {})
 
 
 class TestIsomorphismClasses:
@@ -492,12 +493,16 @@ class TestVerifyArms:
         assert json.dumps(got["detail"]) == json.dumps(detail)
 
     def test_circular_records_an_invalid_witness(self, monkeypatch):
+        # an unpatched run first: had its circular tally been read below, the
+        # patched witness would report no failure
+        assert verify(TheoremId.CIRCULAR_TWO, "quick").verdict == "PASS"
         real = verify_mod.circular_gamma_t
 
         def one_vertex_witness(n, d):
             return dataclasses.replace(real(n, d), witness=VertexSet(n, 1))
 
         monkeypatch.setattr(verify_mod, "circular_gamma_t", one_vertex_witness)
+        monkeypatch.setattr(verify_mod, "_spec_tallies", {})
         r = verify(TheoremId.CIRCULAR_TWO, "quick")
         assert len(r.counterexamples) == 84
         assert {json.dumps(c["detail"]) for c in r.counterexamples} == {
@@ -557,7 +562,7 @@ class TestVerifyArms:
             verify_mod, "random_graph_specs", lambda: [FamilySpec.parse("cycle:n=5")]
         )
         # the random-graph tallies of the lowered bounds are not kept
-        monkeypatch.setattr(verify_mod, "_random_graph_tallies", {})
+        monkeypatch.setattr(verify_mod, "_spec_tallies", {})
         r = verify(theorem, "quick")
         # the class route reads the same lowered bounds and fails too; the
         # random-graph records are the ones naming a family
@@ -626,6 +631,33 @@ class TestSharedDomains:
         verify(TheoremId.SANDWICH, "quick")
         verify(TheoremId.GIRTH_UPPER, "quick")
         assert calls == [graphs] * 2
+
+    def test_a_second_run_builds_no_seeded_family_again(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "_spec_tallies", {})
+        real, calls = verify_mod.generate, []
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(verify_mod, "generate", counted)
+        first = verify_all("quick")
+        # random graphs, random trees, paths and cycles, circular graphs
+        assert len(calls) == 500 + 200 + 36 + 84 + 10
+        calls.clear()
+        second = verify_all("quick")
+        assert calls == []
+        assert _without_time(second) == _without_time(first)
+
+    @pytest.mark.parametrize("scales", [("quick", "full"), ("full", "quick")])
+    def test_closed_form_domains_are_kept_by_scale(self, monkeypatch, scales):
+        # the paths, cycles and circular graphs differ between the scales: a
+        # scale that read the other's tallies would report its counts
+        monkeypatch.setattr(verify_mod, "_spec_tallies", {})
+        claims = (TheoremId.PATH_CYCLE_FORMULA, TheoremId.CIRCULAR_TWO, TheoremId.CIRCULAR_THREE)
+        expected = {"quick": [36, 84, 10], "full": [44, 174, 21]}
+        for scale in scales:
+            assert [verify(t, scale).instances_checked for t in claims] == expected[scale]
 
 
 class TestRandomDomains:
