@@ -36,9 +36,12 @@ never raises ``ResourceExhausted``. The two strategies are
   ascending order and returns the first a that covers everything alone,
   or else, with two picks left, the first a whose rest is covered by a
   live common neighbour, found by intersecting masks; a rest larger than
-  the parent's largest gain g fits no single pick. None of these cuts
-  drops a strictly better cover, so values are exact; a witness is
-  canonical only under the exhaustive strategy.
+  the parent's largest gain g fits no single pick. A node takes the gains
+  of all vertices in one comprehension over the covers, with the banned
+  ones set to 0, and reads the covers of its uncovered vertices through
+  ``itertools.compress``, so that neither walks a mask bit by bit. None of
+  these cuts drops a strictly better cover, so values are exact; a witness
+  is canonical only under the exhaustive strategy.
 
 A solve is pure: same graph and config, same result, bit for bit.
 """
@@ -48,7 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Sequence
 
 from .errors import ResourceExhausted
@@ -181,6 +184,16 @@ def _greedy_cover(cover: Sequence[int], n: int) -> int:
     return chosen
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """One byte per bit of ``mask`` from bit 0 up to its highest set bit, 1
+    where the bit is set and 0 where not: ``compress(cover, _bit_flags(m))``
+    yields the covers of the members of m in ascending order, at C speed."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
 def _two_picks(cover: Sequence[int], unc: int, live: int, cap: int) -> int:
     """One or two picks of ``live`` that cover the non-empty ``unc``: the
     lowest single pick if there is one, otherwise the first pair found, or 0
@@ -276,12 +289,8 @@ def _bnb_min_cover(
             forced = -1
             fewest = n + 1
             used = packed = 0
-            m = unc
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                cands = cover[v] & live
+            for c in compress(cover, _bit_flags(unc)):
+                cands = c & live
                 if cands == 0:
                     dead += 1
                     return
@@ -306,18 +315,24 @@ def _bnb_min_cover(
             packing += 1
             return
 
+        # the gains of all vertices at once. A chosen vertex gains 0, since
+        # ``covered`` holds its cover; a banned one may not, so it is zeroed,
+        # and max_gain is then the largest gain of a live vertex, as the
+        # counting cut below needs
+        gains = [(c & unc).bit_count() for c in cover]
+        m = banned
+        while m:
+            low = m & -m
+            gains[low.bit_length() - 1] = 0
+            m ^= low
+        max_gain = max(gains)
         order = []
-        max_gain = 0
-        m = live
+        m = branch
         while m:
             low = m & -m
             u = low.bit_length() - 1
             m ^= low
-            gain = (cover[u] & unc).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-            if branch >> u & 1:
-                order.append((-gain, u))
+            order.append((-gains[u], u))
 
         # every cover holding u was searched in u's branch, so the later
         # siblings leave u out. No candidate of a child gains more than

@@ -1,6 +1,7 @@
+import dataclasses
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from totaldom import (
     is_dominating,
     is_total_dominating,
 )
-from totaldom.domination import _two_picks
+from totaldom.domination import _bit_flags, _two_picks
 
 from conftest import (
     brute_force_min_dominating,
@@ -373,6 +374,51 @@ class TestPruningSoundness:
         # of the search without that cut and without a limit
         res = solve(family(spec), SolverConfig(node_limit=10_000))
         assert (res.value, res.witness.mask) == (value, mask)
+
+
+class TestSearchPins:
+    # value, witness and every counter but the time of branch-and-bound
+    # solves at and near the envelope, so that a change meant to make nodes
+    # cheaper is seen to visit the same nodes. Counters in SolverStats field
+    # order: subsets_examined, branch_nodes, forced_picks, prunes_dead,
+    # prunes_incumbent, prunes_packing, prunes_counting, incumbent_updates
+    @pytest.mark.parametrize(
+        "spec, solve, value, mask, counters",
+        [
+            ("random:n=40,p=0.15,seed=1", gamma, 7, 202399778, (0, 133, 0, 0, 0, 1, 110, 1)),
+            ("random:n=40,p=0.15,seed=1", gamma_t, 8, 2215796770, (0, 162, 0, 0, 0, 11, 111, 1)),
+            ("random:n=40,p=0.15,seed=2", gamma, 7, 687264104992, (0, 110, 0, 0, 0, 24, 63, 1)),
+            ("random:n=40,p=0.15,seed=2", gamma_t, 7, 962073853988, (0, 29, 0, 0, 0, 8, 14, 0)),
+            ("random:n=64,p=0.3,seed=1", gamma, 5, 549823062272, (0, 190, 0, 0, 0, 0, 175, 0)),
+            ("random:n=64,p=0.3,seed=1", gamma_t, 5, 549823062272, (0, 166, 0, 0, 0, 0, 152, 0)),
+            ("random:n=64,p=0.2,seed=2", gamma, 6, 216463053184303104,
+             (0, 1919, 0, 0, 0, 0, 1776, 1)),
+            ("random:n=64,p=0.2,seed=2", gamma_t, 6, 216463053184303104,
+             (0, 1013, 0, 0, 0, 0, 945, 1)),
+            ("random:n=50,p=0.15,seed=3", gamma, 7, 281784348623360, (0, 91, 0, 0, 0, 0, 77, 1)),
+            ("random:n=50,p=0.15,seed=3", gamma_t, 8, 288072050713120,
+             (0, 175, 0, 0, 0, 6, 132, 0)),
+        ],
+    )
+    def test_bnb_search_is_pinned(self, spec, solve, value, mask, counters):
+        res = solve(family(spec), BNB)
+        stats = dataclasses.astuple(res.stats)
+        assert (res.value, res.witness.mask, stats[:-1]) == (value, mask, counters)
+
+
+class TestBitFlags:
+    def test_compress_picks_the_members(self):
+        # against the bit loop the scan of uncovered vertices replaced
+        rng = random.Random(0xF1A6)
+        masks = [0, 1, 1 << 63, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(20)]
+        for mask in masks:
+            members = []
+            m = mask
+            while m:
+                low = m & -m
+                members.append(low.bit_length() - 1)
+                m ^= low
+            assert list(compress(range(64), _bit_flags(mask))) == members, mask
 
 
 class TestTwoPicksRefutation:
