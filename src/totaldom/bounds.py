@@ -1,25 +1,43 @@
 """Total-domination bounds, closed forms, and extremal-graph recognizers.
 
-Each bound carries its applicability gate verbatim: a report for a graph
-violating the gate is marked not applicable and never carries a value.
+Each bound is stated once, in ``_FORMULAS``: the class route (``all_bounds``,
+``achieves_extremal``) and the labeled scan of ``verify`` both read it, and
+``tests/test_bounds.py`` pins every formula to the paper's values. Each bound
+carries its applicability gate verbatim: a report for a graph violating the
+gate is marked not applicable and never carries a value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 from .errors import InvalidFamily, NotATree, OutOfDomain, UndefinedValue
 from .graph import Graph, StructuralProfile, is_connected_masks, profile
 from .vertexset import VertexSet
 
-BOUND_IDS = (
-    "cockayne_upper",
-    "connected_upper",
-    "n_over_delta_lower",
-    "diam2_upper",
-    "girth_upper",
-)
+
+class _Formula(NamedTuple):
+    """A bound on gamma_t: the ``StructuralProfile`` field p it reads, its
+    value as a function of (n, p), and whether it bounds from above. The
+    first is Cockayne et al.'s n - Delta + 1; -(-n // d) is ceil(n / d) and
+    (g + 1) // 2 is ceil(g / 2). ``all_bounds`` states where each applies."""
+
+    parameter: str
+    formula: Callable[[int, int], int]
+    upper: bool
+
+
+_FORMULAS = {
+    "cockayne_upper": _Formula("max_degree", lambda n, d: n - d + 1, True),
+    "connected_upper": _Formula("max_degree", lambda n, d: n - d, True),
+    "n_over_delta_lower": _Formula("max_degree", lambda n, d: -(-n // d), False),
+    "diam2_upper": _Formula("min_degree", lambda n, d: d + 1, True),
+    "girth_upper": _Formula("girth", lambda n, g: n - (g + 1) // 2 + 1, True),
+}
+
+BOUND_IDS = tuple(_FORMULAS)
 
 
 @dataclass(frozen=True)
@@ -30,19 +48,7 @@ class BoundReport:
     tight: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "applicable": self.applicable,
-            "value": self.value,
-            "tight": self.tight,
-        }
-
-
-def _report(bound: str, applicable: bool, value: int | None, exact: int | None) -> BoundReport:
-    if not applicable:
-        return BoundReport(bound, False, None, None)
-    tight = None if exact is None else value == exact
-    return BoundReport(bound, True, value, tight)
+        return asdict(self)
 
 
 def all_bounds(
@@ -50,25 +56,22 @@ def all_bounds(
     exact: int | None = None,
     prof: StructuralProfile | None = None,
 ) -> list[BoundReport]:
-    """Evaluate every bound on ``g``; ``exact`` (the true total domination
-    number) switches on tightness flags."""
+    """Evaluate every bound on ``g``, in ``BOUND_IDS`` order; ``exact`` (the
+    true total domination number) switches on tightness flags."""
     prof = prof or profile(g)
-    n = g.n
-    max_deg, min_deg = prof.max_degree, prof.min_degree
-    no_isolated = not prof.isolated
-    joined = prof.is_connected and max_deg < n - 1
-    girth_ok = math.isfinite(prof.girth) and prof.girth >= 5 and min_deg >= 2
-    # _report drops the value of a bound that does not apply; these two are
-    # guarded all the same, against Delta = 0 and an infinite girth
-    over_delta = -(-n // max_deg) if no_isolated else None
-    girth_bound = n - math.ceil(prof.girth / 2) + 1 if girth_ok else None
-    return [
-        _report("cockayne_upper", no_isolated, n - max_deg + 1, exact),
-        _report("connected_upper", joined, n - max_deg, exact),
-        _report("n_over_delta_lower", no_isolated, over_delta, exact),
-        _report("diam2_upper", prof.diameter == 2, min_deg + 1, exact),
-        _report("girth_upper", girth_ok, girth_bound, exact),
-    ]
+    applies = {
+        "cockayne_upper": not prof.isolated,
+        "connected_upper": prof.is_connected and prof.max_degree < g.n - 1,
+        "n_over_delta_lower": not prof.isolated,
+        "diam2_upper": prof.diameter == 2,
+        "girth_upper": math.isfinite(prof.girth) and prof.girth >= 5 and prof.min_degree >= 2,
+    }
+    reports = []
+    for bound, (parameter, formula, _) in _FORMULAS.items():
+        value = formula(g.n, getattr(prof, parameter)) if applies[bound] else None
+        tight = None if value is None or exact is None else value == exact
+        reports.append(BoundReport(bound, applies[bound], value, tight))
+    return reports
 
 
 def path_cycle_formula(kind: str, n: int) -> int:
@@ -148,7 +151,7 @@ def achieves_extremal(g: Graph, exact: int) -> bool:
     """True iff the exact total domination number meets n - max_degree + 1."""
     if g.isolated_mask():
         raise UndefinedValue("total domination undefined: isolated vertex")
-    return exact == g.n - max(g.degrees()) + 1
+    return exact == _FORMULAS["cockayne_upper"].formula(g.n, max(g.degrees()))
 
 
 def is_extremal_tree(g: Graph, exact: int) -> bool:

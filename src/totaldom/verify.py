@@ -18,14 +18,12 @@ The graph claims have two routes, by design:
   time; ``pool.map`` batches the chunks into pool tasks. It works out
   degrees, gates, the star-plus-matching shape, gamma and gamma_t for a
   whole chunk at once, bit-sliced: as bitmaps over the chunk's graphs, one
-  bit per graph. It
-  checks the claims with bitmap algebra and inline bound formulas; only
-  the graphs of girth >= 5 are looked at one by one, for their girth. It
-  uses no solver, ``profile`` or isomorphism code: it is the independent
-  oracle the tests and the acceptance criteria compare against. The bound
-  formulas therefore sit in two places, ``bounds.all_bounds`` and
-  ``_check_bitmaps``; that is the point of the second route, not a
-  duplicate to fold away.
+  bit per graph, and checks the claims with bitmap algebra; only the graphs
+  of girth >= 5 are looked at one by one, for their girth. It uses no
+  solver, ``profile`` or isomorphism code: its gates, cover layers and
+  girth are independent of the class route, which the tests compare it
+  against. Both routes read the bound formulas from ``bounds._FORMULAS``,
+  which ``tests/test_bounds.py`` pins to the paper's values.
 
 Every pass of either route checks all seven graph claims (``SCAN_CLAIMS``):
 the claims a caller names only choose what is reported. The other domains
@@ -50,6 +48,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import (
+    _FORMULAS,
     BOUND_IDS,
     achieves_extremal,
     all_bounds,
@@ -393,44 +392,43 @@ def _check_bitmaps(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
     # the last layer holds every graph with a cover: repeat it, so that any
     # bound up to 2n (sandwich) has a layer, whatever the list's length
     gts = gts + gts[-1:] * (2 * n + 1 - len(gts))
-    # the hypotheses that ask more than "no isolated vertex"
-    joined = ok & connected & ~max_degree[n - 1]  # connected, Delta < n - 1
-    diam2 = ok & within_2 & ~min_degree[n - 1]  # diameter exactly 2: not complete
-    girth_5 = ok & ~triangle & ~square & ~min_degree[1]  # delta >= 2, so girth >= 5
-    bipartite &= ok
-    # the graphs where each claim fails, an OR over Delta (or delta) = d
-    cockayne = connected_fail = lower = diam2_fail = extremal = 0
-    for d in range(1, n):
-        top, low = max_degree[d], min_degree[d]  # Delta = d, delta = d
-        cockayne |= top & ~gts[n - d + 1]
-        connected_fail |= top & ~gts[n - d]
-        lower |= top & gts[-(-n // d) - 1]  # gamma_t < ceil(n / Delta)
-        diam2_fail |= low & ~gts[d + 1]
-        extremal |= top & gts[n - d + 1] & ~gts[n - d]  # gamma_t = n - Delta + 1
+    hypotheses = {
+        "cockayne_upper": ok,
+        "connected_upper": ok & connected & ~max_degree[n - 1],  # connected, Delta < n - 1
+        "n_over_delta_lower": ok,
+        "diam2_upper": ok & within_2 & ~min_degree[n - 1],  # diameter exactly 2: not complete
+        "girth_upper": ok & ~triangle & ~square & ~min_degree[1],  # delta >= 2, so girth >= 5
+        "sandwich": ok,
+        "bipartite_extremal": ok & bipartite,
+    }
+    for claim, (parameter, formula, upper) in _FORMULAS.items():
+        if parameter == "girth":  # read graph by graph, on the graphs of girth >= 5
+            for j in _members(hypotheses[claim]):
+                girth = int(girth_masks(_adjacency(n, pairs, lo + j), n))
+                b = formula(n, girth)
+                if not gts[b] >> j & 1:
+                    fail(claim, j, {"gamma_t": value(gts, j), "girth": girth, "bound": b})
+            continue
+        layers, failing = (max_degree if parameter == "max_degree" else min_degree), 0
+        for d in range(1, n):  # Delta (or delta) = d, gamma_t above (or below) the bound
+            b = formula(n, d)
+            failing |= layers[d] & (~gts[b] if upper else gts[b - 1])
+        for j in _members(hypotheses[claim] & failing):
+            fail(claim, j, {"gamma_t": value(gts, j), "bound": formula(n, value(layers, j))})
     sandwich = 0
     for k in range(n + 1):  # gamma_t <= k < gamma, or gamma <= k, 2k < gamma_t
         sandwich |= gts[k] & ~gams[k] | gams[k] & ~gts[2 * k]
-    for claim, bits, degrees, bound in (
-        ("cockayne_upper", ok & cockayne, max_degree, lambda d: n - d + 1),
-        ("connected_upper", joined & connected_fail, max_degree, lambda d: n - d),
-        ("n_over_delta_lower", ok & lower, max_degree, lambda d: -(-n // d)),
-        ("diam2_upper", diam2 & diam2_fail, min_degree, lambda d: d + 1),
-    ):
-        for j in _members(bits):
-            fail(claim, j, {"gamma_t": value(gts, j), "bound": bound(value(degrees, j))})
-    for j in _members(ok & sandwich):
+    for j in _members(hypotheses["sandwich"] & sandwich):
         fail("sandwich", j, {"gamma": value(gams, j), "gamma_t": value(gts, j)})
-    for j in _members(girth_5):
-        girth = int(girth_masks(_adjacency(n, pairs, lo + j), n))
-        b = n - (girth + 1) // 2 + 1
-        if not gts[b] >> j & 1:
-            fail("girth_upper", j, {"gamma_t": value(gts, j), "girth": girth, "bound": b})
-    for j in _members(bipartite & (extremal ^ star)):
+    cockayne, extremal = _FORMULAS["cockayne_upper"].formula, 0
+    for d in range(1, n):  # gamma_t = the Cockayne bound
+        b = cockayne(n, d)
+        extremal |= max_degree[d] & gts[b] & ~gts[b - 1]
+    for j in _members(hypotheses["bipartite_extremal"] & (extremal ^ star)):
         tight, shape = extremal >> j & 1 == 1, star >> j & 1 == 1
         detail = {"gamma_t": value(gts, j), "extremal": tight, "star_plus_matching": shape}
         fail("bipartite_extremal", j, detail)
-    hypotheses = (ok, joined, ok, diam2, girth_5, ok, bipartite)  # in SCAN_CLAIMS order
-    return {c: bits.bit_count() for c, bits in zip(SCAN_CLAIMS, hypotheses)}, cex
+    return {c: bits.bit_count() for c, bits in hypotheses.items()}, cex
 
 
 def _run_chunked(worker: Callable, items: list, jobs: int) -> list:
@@ -510,10 +508,10 @@ def _evaluate(g: Graph, claims: Sequence[str], spec: FamilySpec | None) -> _Resu
     """The results of the ``claims`` whose hypothesis ``g`` meets. ``spec``
     is not read: these claims depend on the graph alone.
 
-    Gates and bounds come from ``profile`` and ``all_bounds``, values from
-    ``gamma_t`` and ``gamma``. The attained bound is the Cockayne bound for
-    bipartite_extremal (the extremal graphs) and gamma_t = 2 gamma for
-    sandwich."""
+    Gates and bounds come from ``profile`` and ``all_bounds``, each bound's
+    direction from ``_FORMULAS``, values from ``gamma_t`` and ``gamma``. The
+    attained bound is the Cockayne bound for bipartite_extremal (the
+    extremal graphs) and gamma_t = 2 gamma for sandwich."""
     prof = profile(g)
     if prof.isolated:  # every claim's hypothesis excludes isolated vertices
         return {}
@@ -528,13 +526,10 @@ def _evaluate(g: Graph, claims: Sequence[str], spec: FamilySpec | None) -> _Resu
     for claim in claims:
         if claim in reports:
             r = reports[claim]
-            holds = gt >= r.value if claim == "n_over_delta_lower" else gt <= r.value
             detail = None
-            if not holds:
-                detail = {"gamma_t": gt}
-                if claim == "girth_upper":
-                    detail["girth"] = int(prof.girth)
-                detail["bound"] = r.value
+            if (gt > r.value) if _FORMULAS[claim].upper else (gt < r.value):
+                girth = {"girth": int(prof.girth)} if claim == "girth_upper" else {}
+                detail = {"gamma_t": gt, **girth, "bound": r.value}
             out[claim] = (gt == r.value, detail)
         elif claim == "sandwich":
             gam = gamma(g).value

@@ -23,6 +23,7 @@ from totaldom import (
     profile,
     recognize_star_plus_matching,
 )
+from totaldom.bounds import _FORMULAS
 from totaldom.families import FamilyKind, FamilySpec
 
 from conftest import brute_force_min_total_dominating, edge_mask_graphs
@@ -84,6 +85,23 @@ class TestAllBounds:
 
     def test_report_order_and_ids(self):
         assert tuple(r.bound for r in all_bounds(family("path:n=4"))) == BOUND_IDS
+
+    def test_formulas_give_the_papers_values(self):
+        # both verify routes read these formulas, so a wrong one cannot show as
+        # the routes disagreeing: pin each to values worked out by hand
+        expected = {
+            "cockayne_upper": ("max_degree", True, {(7, 3): 5, (5, 4): 2}),  # K_1,4
+            "connected_upper": ("max_degree", True, {(7, 3): 4}),
+            "n_over_delta_lower": ("max_degree", False, {(7, 3): 3, (8, 2): 4}),  # C_8
+            "diam2_upper": ("min_degree", True, {(5, 2): 3}),  # C_5
+            # Petersen and C_6: the odd girth tells ceil(g / 2) from floor(g / 2)
+            "girth_upper": ("girth", True, {(10, 5): 8, (6, 6): 4}),
+        }
+        assert tuple(expected) == BOUND_IDS == tuple(_FORMULAS)
+        for bound, (parameter, upper, values) in expected.items():
+            entry = _FORMULAS[bound]
+            assert (entry.parameter, entry.upper) == (parameter, upper), bound
+            assert {args: entry.formula(*args) for args in values} == values, bound
 
     def test_json_schema(self):
         reports = by_id(all_bounds(family("star:t=4"), exact=2))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 from itertools import combinations, permutations, product
@@ -221,7 +222,11 @@ class TestClassRouteAgreesWithScan:
     # the class route against the labeled scan, claim by claim, in count and
     # the full sorted counterexample list; shifting gamma_t in both routes
     # makes every claim fail somewhere, so the expansion of a failing class
-    # into its labelings is checked on real failures
+    # into its labelings is checked on real failures. Both routes read the
+    # bound formulas of bounds._FORMULAS, so the scan's exact output is
+    # pinned as well, by the sha256 of its sorted JSON, per shift
+    SCAN_DIGESTS = {0: "660ef139fc8f6c89", 1: "b7fc1e979353eb2a", -1: "81b03e7979bd677a"}
+
     @pytest.mark.parametrize(
         "shift, failing",
         [
@@ -238,6 +243,8 @@ class TestClassRouteAgreesWithScan:
             tally = classes[claim]
             assert (tally.instances, list(tally.counterexamples)) == scan[claim], claim
         assert {c for c in SCAN_CLAIMS if scan[c][1]} == failing
+        text = json.dumps(scan, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.SCAN_DIGESTS[shift]
 
     def test_shifted_scan_reads_its_details_off_the_layers(self, monkeypatch):
         # under a +1 shift, cockayne_upper fails on the graphs with n <= 5
