@@ -25,7 +25,7 @@ from .graph import (
     read_edge_list,
     write_edge_list,
 )
-from .verify import TheoremId, shared_domains, sweep, sweep_csv, verify
+from .verify import SCALES, TheoremId, _fmt, shared_domains, sweep, sweep_csv, verify
 
 # keys a --config file may set: the long flags, with '_' for '-'
 _CONFIG_KEYS = frozenset(
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="claim id or 'all' (see --list)",
     )
     p.add_argument("--list", action="store_true", help="list claim ids and exit")
-    p.add_argument("--scale", choices=["quick", "full"], default="quick")
+    p.add_argument("--scale", choices=SCALES, default="quick")
     p.add_argument("--jobs", type=_positive(int), default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_common(p)
@@ -236,17 +236,13 @@ def _cmd_compute(args) -> int:
     res_t = gamma_t(g, cfg)
     if args.paranoid:
         check = dataclasses.replace(cfg, strategy=Strategy.EXHAUSTIVE)
-        ref_g = gamma(g, check)
-        ref_t = gamma_t(g, check)
-        mismatch = ref_g.value != res_g.value or (
-            (res_t is None) != (ref_t is None)
-            or (res_t is not None and res_t.value != ref_t.value)
-        )
-        if mismatch:
+        ref_t = gamma_t(g, check)  # None exactly when res_t is: an isolated vertex
+        ours = (res_g.value, res_t and res_t.value)
+        ref = (gamma(g, check).value, ref_t and ref_t.value)
+        if ours != ref:
             print(
                 "paranoid cross-check failed: "
-                f"gamma {res_g.value} vs {ref_g.value}, "
-                f"gamma_t {res_t and res_t.value} vs {ref_t and ref_t.value}",
+                f"gamma {ours[0]} vs {ref[0]}, gamma_t {ours[1]} vs {ref[1]}",
                 file=sys.stderr,
             )
             return 1
@@ -288,22 +284,13 @@ def _cmd_bounds(args) -> int:
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     elif args.format == "csv":
-        lines = ["bound,applicable,value,tight"]
+        print("bound,applicable,value,tight")
         for r in reports:
-            lines.append(
-                f"{r.bound},{str(r.applicable).lower()},"
-                f"{'' if r.value is None else r.value},"
-                f"{'' if r.tight is None else str(r.tight).lower()}"
-            )
-        print("\n".join(lines))
+            print(",".join([r.bound, *map(_fmt, (r.applicable, r.value, r.tight))]))
     else:
         for r in reports:
-            value = "-" if r.value is None else r.value
-            tight = "" if r.tight is None else f" tight={str(r.tight).lower()}"
-            print(
-                f"{r.bound} applicable={str(r.applicable).lower()} "
-                f"value={value}{tight}"
-            )
+            tight = "" if r.tight is None else f" tight={_fmt(r.tight)}"
+            print(f"{r.bound} applicable={_fmt(r.applicable)} value={_fmt(r.value) or '-'}{tight}")
     return 0
 
 

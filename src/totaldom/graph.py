@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeListFormatError, OutOfRange, RejectedEdge
-from .vertexset import MAX_CAPACITY, VertexSet
+from .vertexset import MAX_CAPACITY, VertexSet, members
 
 # Diameter of a disconnected graph / girth of an acyclic one. A distinct
 # non-integer value so that applicability gates can compare freely.
@@ -74,11 +74,8 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
-            rest = self.adj_masks[u] >> (u + 1) << (u + 1)
-            while rest:
-                low = rest & -rest
-                yield u, low.bit_length() - 1
-                rest ^= low
+            for v in members(self.adj_masks[u] >> (u + 1) << (u + 1)):
+                yield u, v
 
     def neighborhood(self, v: int) -> VertexSet:
         """Open neighborhood N(v)."""
@@ -95,11 +92,8 @@ class Graph:
         if s.capacity != self.n:
             raise ValueError(f"set capacity {s.capacity} != vertex count {self.n}")
         out = 0
-        m = s.mask
-        while m:
-            low = m & -m
-            out |= self.adj_masks[low.bit_length() - 1]
-            m ^= low
+        for v in members(s.mask):
+            out |= self.adj_masks[v]
         return VertexSet(self.n, out)
 
     def isolated_mask(self) -> int:
@@ -203,14 +197,6 @@ def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:
     return sides[0], sides[1]
 
 
-def _diameter_from(adj: Sequence[int], n: int, first: list[int]) -> float:
-    """Diameter, given ``first = bfs_layers(adj, 0)``, which also decides
-    connectivity."""
-    if sum(first) != (1 << n) - 1:
-        return INFINITE
-    return max([len(first)] + [len(bfs_layers(adj, s)) for s in range(1, n)]) - 1
-
-
 def girth_masks(adj: Sequence[int], n: int) -> float:
     """Length of a shortest cycle; INFINITE when acyclic.
 
@@ -249,7 +235,9 @@ def girth_masks(adj: Sequence[int], n: int) -> float:
 
 
 def profile(g: Graph) -> StructuralProfile:
-    """Compute the full structural profile of ``g``."""
+    """Compute the full structural profile of ``g``. The BFS from vertex 0
+    decides connectivity and, on a connected graph, is the first of the n
+    whose depths give the diameter."""
     adj = g.adj_masks
     n = g.n
     degs = g.degrees()
@@ -258,12 +246,16 @@ def profile(g: Graph) -> StructuralProfile:
     if coloring is not None:
         bipartition = (VertexSet(n, coloring[0]), VertexSet(n, coloring[1]))
     first = bfs_layers(adj, 0)
+    connected = sum(first) == g.full_mask  # the layers are disjoint
+    diameter = INFINITE
+    if connected:
+        diameter = max([len(first)] + [len(bfs_layers(adj, s)) for s in range(1, n)]) - 1
     return StructuralProfile(
         max_degree=max(degs),
         min_degree=min(degs),
-        diameter=_diameter_from(adj, n, first),
+        diameter=diameter,
         girth=girth_masks(adj, n),
-        is_connected=sum(first) == g.full_mask,
+        is_connected=connected,
         isolated=VertexSet(n, g.isolated_mask()),
         bipartition=bipartition,
     )

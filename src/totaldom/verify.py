@@ -81,6 +81,7 @@ from .graph import (
     profile,
     two_coloring_masks,
 )
+from .vertexset import members
 
 
 class TheoremId(str, Enum):
@@ -216,19 +217,11 @@ def _total_cover_layers(covers: Sequence[int]) -> list[int]:
     return _cover_layers(covers)
 
 
-def _members(bits: int) -> Iterator[int]:
-    """The set bits of ``bits``, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def _adjacency(n: int, pairs: Sequence[tuple[int, int]], i: int) -> list[int]:
     """The adjacency masks of graph i on n vertices, given ``pairs =
     _index_pairs(n)``: the scan decodes only the graphs it looks at one by one."""
     adj = [0] * n
-    for t in _members(i):
+    for t in members(i):
         u, v = pairs[t]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
@@ -350,15 +343,7 @@ def _cex_sort_key(record: dict) -> str:
 
 # -- labeled-graph scan (the oracle of the tests and the acceptance gate) ------
 
-SCAN_CLAIMS = (
-    "cockayne_upper",
-    "connected_upper",
-    "n_over_delta_lower",
-    "diam2_upper",
-    "girth_upper",
-    "sandwich",
-    "bipartite_extremal",
-)
+SCAN_CLAIMS = (*BOUND_IDS, "sandwich", "bipartite_extremal")
 
 
 # graphs per bitmap. A block costs about 4,000 big-int operations whatever its
@@ -403,7 +388,7 @@ def _check_bitmaps(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
     }
     for claim, (parameter, formula, upper) in _FORMULAS.items():
         if parameter == "girth":  # read graph by graph, on the graphs of girth >= 5
-            for j in _members(hypotheses[claim]):
+            for j in members(hypotheses[claim]):
                 girth = int(girth_masks(_adjacency(n, pairs, lo + j), n))
                 b = formula(n, girth)
                 if not gts[b] >> j & 1:
@@ -413,18 +398,18 @@ def _check_bitmaps(args) -> tuple[dict[str, int], dict[str, list[dict]]]:
         for d in range(1, n):  # Delta (or delta) = d, gamma_t above (or below) the bound
             b = formula(n, d)
             failing |= layers[d] & (~gts[b] if upper else gts[b - 1])
-        for j in _members(hypotheses[claim] & failing):
+        for j in members(hypotheses[claim] & failing):
             fail(claim, j, {"gamma_t": value(gts, j), "bound": formula(n, value(layers, j))})
     sandwich = 0
     for k in range(n + 1):  # gamma_t <= k < gamma, or gamma <= k, 2k < gamma_t
         sandwich |= gts[k] & ~gams[k] | gams[k] & ~gts[2 * k]
-    for j in _members(hypotheses["sandwich"] & sandwich):
+    for j in members(hypotheses["sandwich"] & sandwich):
         fail("sandwich", j, {"gamma": value(gams, j), "gamma_t": value(gts, j)})
     cockayne, extremal = _FORMULAS["cockayne_upper"].formula, 0
     for d in range(1, n):  # gamma_t = the Cockayne bound
         b = cockayne(n, d)
         extremal |= max_degree[d] & gts[b] & ~gts[b - 1]
-    for j in _members(hypotheses["bipartite_extremal"] & (extremal ^ star)):
+    for j in members(hypotheses["bipartite_extremal"] & (extremal ^ star)):
         tight, shape = extremal >> j & 1 == 1, star >> j & 1 == 1
         detail = {"gamma_t": value(gts, j), "extremal": tight, "star_plus_matching": shape}
         fail("bipartite_extremal", j, detail)

@@ -3,6 +3,10 @@
 A ``VertexSet`` is an immutable subset of ``{0, ..., capacity-1}`` stored as a
 single Python int used as a bitmask. Capacity is capped at 64 so that every
 set operation in the solver hot path stays a single-word integer operation.
+``members`` walks the set bits of a mask of any width, for the sets here, the
+graph's edges and the labeled scan's bitmaps. The BFS frontiers of ``graph``
+and the branch-and-bound loops keep that walk inline: on their masks of a few
+members, starting a generator costs more than the walk.
 """
 
 from __future__ import annotations
@@ -12,6 +16,14 @@ from typing import Iterable, Iterator
 from .errors import OutOfRange
 
 MAX_CAPACITY = 64
+
+
+def members(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class VertexSet:
@@ -75,11 +87,7 @@ class VertexSet:
         return 0 <= v < self.capacity and self.mask >> v & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return members(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from totaldom import Strategy, cli, gamma_t
 from totaldom.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -66,6 +68,21 @@ class TestCompute:
             capsys, "compute", "--family", "cycle:n=7", "--paranoid"
         )
         assert code == 0
+
+    def test_paranoid_mismatch_exit_1(self, capsys, monkeypatch):
+        # a branch-and-bound gamma_t one too high must fail the cross-check
+        def skewed(g, config=None):
+            res = gamma_t(g, config)
+            if config.strategy is Strategy.BRANCH_AND_BOUND:
+                return dataclasses.replace(res, value=res.value + 1)
+            return res
+
+        monkeypatch.setattr(cli, "gamma_t", skewed)
+        code, out, err = run(
+            capsys, "compute", "--family", "cycle:n=7", "--paranoid"
+        )
+        assert (code, out) == (1, "")
+        assert err == "paranoid cross-check failed: gamma 3 vs 3, gamma_t 5 vs 4\n"
 
     def test_exhaustive_strategy_flag(self, capsys):
         code, out, _ = run(
@@ -153,6 +170,24 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "--family", "cycle:n=5")
         assert code == 0
         assert "diam2_upper applicable=true value=3 tight=true" in out
+        code, out, _ = run(capsys, "bounds", "--family", "star:t=4")
+        assert code == 0
+        assert out == (
+            "cockayne_upper applicable=true value=2 tight=true\n"
+            "connected_upper applicable=false value=-\n"
+            "n_over_delta_lower applicable=true value=2 tight=true\n"
+            "diam2_upper applicable=true value=2 tight=true\n"
+            "girth_upper applicable=false value=-\n"
+        )
+        code, out, _ = run(capsys, "bounds", "--family", "cycle:n=5", "--no-exact")
+        assert code == 0
+        assert out == (
+            "cockayne_upper applicable=true value=4\n"
+            "connected_upper applicable=true value=3\n"
+            "n_over_delta_lower applicable=true value=3\n"
+            "diam2_upper applicable=true value=3\n"
+            "girth_upper applicable=true value=3\n"
+        )
 
     def test_json_schema(self, capsys):
         code, out, _ = run(
@@ -179,6 +214,18 @@ class TestBounds:
         lines = out.splitlines()
         assert lines[0] == "bound,applicable,value,tight"
         assert "n_over_delta_lower,true,4,true" in lines
+        code, out, _ = run(
+            capsys, "bounds", "--family", "star:t=4", "--format", "csv"
+        )
+        assert code == 0
+        assert out == (
+            "bound,applicable,value,tight\n"
+            "cockayne_upper,true,2,true\n"
+            "connected_upper,false,,\n"
+            "n_over_delta_lower,true,2,true\n"
+            "diam2_upper,true,2,true\n"
+            "girth_upper,false,,\n"
+        )
 
 
 class TestVerifyCommand:

@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 import pytest
 
 from totaldom import OutOfRange, VertexSet
+from totaldom.vertexset import members
 
 
 def test_construction_and_membership():
@@ -17,6 +18,12 @@ def test_full_and_empty():
     assert list(VertexSet.full(4)) == [0, 1, 2, 3]
     assert len(VertexSet(6)) == 0
     assert not VertexSet(6)
+
+
+def test_members_of_a_mask_of_any_width():
+    # the labeled scan walks bitmaps of 2^14 bits
+    assert list(members(1 << 16383 | 1 << 64 | 5)) == [0, 2, 64, 16383]
+    assert list(members(0)) == []
 
 
 def test_out_of_range_member():
