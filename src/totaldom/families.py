@@ -2,23 +2,26 @@
 isomorphism class with its number of labelings.
 
 Every random family is a pure function of its seed: draws come from a
-splitmix64 stream, so identical specs reproduce bit-identical graphs across
-runs and across ports. The canonical string form ("cycle:n=8",
-"circular:n=10,d=3", "random:n=12,p=0.3,seed=42") is what the CLI consumes.
+splitmix64 stream, taken in one batch per graph, so identical specs
+reproduce bit-identical graphs across runs and across ports. The canonical
+string form ("cycle:n=8", "circular:n=10,d=3", "random:n=12,p=0.3,seed=42")
+is what the CLI consumes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainTooLarge, InvalidFamily
-from .graph import Graph
+from .graph import Graph, check_vertex_count
 
 MASK64 = (1 << 64) - 1
 
@@ -54,8 +57,40 @@ _PARAMS: dict[FamilyKind, tuple[str, ...]] = {
 }
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# step that lists the low 64-bit word of each 128-bit lane, lane 0 first, of
+# an int written out in native byte order and read as array("Q")
+_LOW_WORDS = 2 if sys.byteorder == "little" else -2
+
+
+# bounded: a domain draws a few counts, but the public batch takes any count
+@lru_cache(maxsize=64)
+def _lane_constants(count: int) -> tuple[int, int, int]:
+    """The ints holding 1, 2^64 - 1 and k * gamma in 128-bit lane k - 1,
+    for k = 1..count."""
+    lanes = array("Q", bytes(16 * count))
+    lanes[::_LOW_WORDS] = array("Q", [1]) * count
+    ones = int.from_bytes(lanes, sys.byteorder)
+    lanes[::_LOW_WORDS] = array("Q", range(1, count + 1))
+    return ones, ones * MASK64, int.from_bytes(lanes, sys.byteorder) * _GAMMA
+
+
+def _low_words(lanes: int, count: int) -> array:
+    return array("Q", lanes.to_bytes(16 * count, sys.byteorder))[::_LOW_WORDS]
+
+
 class SplitMix64:
-    """splitmix64: the 64-bit PRNG behind every seeded family."""
+    """splitmix64 (Steele, Lea and Flood, OOPSLA 2014): the 64-bit PRNG
+    behind every seeded family.
+
+    The generator is counter-based: output k is mix(seed + k * gamma mod
+    2^64). So a batch of draws is mixed at once in one int, draw k in
+    128-bit lane k - 1, where a product with a 64-bit constant stays inside
+    its lane. ``next_u64s(c)`` equals c calls of ``next_u64``.
+    """
 
     __slots__ = ("_state",)
 
@@ -63,11 +98,24 @@ class SplitMix64:
         self._state = seed & MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & MASK64
+        self._state = (self._state + _GAMMA) & MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
         return z ^ (z >> 31)
+
+    def next_u64s(self, count: int) -> list[int]:
+        """The next ``count`` outputs of ``next_u64``, drawn in one batch."""
+        return _low_words(self._next_lanes(count), count).tolist()
+
+    def _next_lanes(self, count: int) -> int:
+        """The next ``count`` outputs, output k in the low 64 bits of lane k - 1."""
+        ones, low, steps = _lane_constants(count)
+        z = (self._state * ones + steps) & low
+        self._state = (self._state + count * _GAMMA) & MASK64
+        z = (z ^ z >> 30 & low) * _MIX1 & low
+        z = (z ^ z >> 27 & low) * _MIX2 & low
+        return z ^ z >> 31 & low
 
     def next_below(self, bound: int) -> int:
         return self.next_u64() % bound
@@ -213,7 +261,10 @@ def parse_family_range(text: str) -> list[FamilySpec]:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a spec describes."""
+    """Build the graph a spec describes. A spec of more than MAX_CAPACITY
+    vertices raises OutOfRange before anything is built or drawn."""
+    # only star (no r) and star+matching leave n unset
+    check_vertex_count(spec.n if spec.n is not None else spec.t + 1 + 2 * (spec.r or 0))
     return _GENERATORS[spec.kind](spec)
 
 
@@ -250,27 +301,28 @@ def _gen_circular_complete(spec: FamilySpec) -> Graph:
     return Graph.from_masks([(base << i | base >> (n - i)) & full for i in range(n)])
 
 
+def _bernoulli_graph(spec: FamilySpec, pairs: list[tuple[int, int]]) -> Graph:
+    """The graph on spec.n vertices with each of ``pairs`` an edge with
+    probability spec.p: the pairs in order take the seed's draws in turn,
+    exactly as ``next_bernoulli`` would."""
+    count, p = len(pairs), spec.p
+    # z * den < num * 2^64 iff z < t iff (2^64 + t - 1) - z >= 2^64, read
+    # off bit 64 of each lane; no lane borrows from the next, as z < 2^64
+    t = -(-(p.numerator << 64) // p.denominator)
+    ones = _lane_constants(count)[0]
+    z = SplitMix64(spec.seed)._next_lanes(count)
+    kept = (((1 << 64) + t - 1) * ones - z) >> 64 & ones
+    return Graph(spec.n, compress(pairs, _low_words(kept, count)))
+
+
 def _gen_random_graph(spec: FamilySpec) -> Graph:
-    rng = SplitMix64(spec.seed)
-    edges = [
-        (u, v)
-        for u, v in combinations(range(spec.n), 2)
-        if rng.next_bernoulli(spec.p)
-    ]
-    return Graph(spec.n, edges)
+    return _bernoulli_graph(spec, list(combinations(range(spec.n), 2)))
 
 
 def _gen_random_bipartite(spec: FamilySpec) -> Graph:
     # side a = 0..ceil(n/2)-1, side b = the rest; one draw per cross pair
-    rng = SplitMix64(spec.seed)
     split = (spec.n + 1) // 2
-    edges = [
-        (a, b)
-        for a in range(split)
-        for b in range(split, spec.n)
-        if rng.next_bernoulli(spec.p)
-    ]
-    return Graph(spec.n, edges)
+    return _bernoulli_graph(spec, list(product(range(split), range(split, spec.n))))
 
 
 def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -311,8 +363,7 @@ def _gen_random_tree(spec: FamilySpec) -> Graph:
     n = spec.n
     if n == 1:
         return Graph(1, [])
-    rng = SplitMix64(spec.seed)
-    seq = [rng.next_below(n) for _ in range(n - 2)]
+    seq = list(map(n.__rmod__, SplitMix64(spec.seed).next_u64s(n - 2)))
     return Graph(n, prufer_decode(seq, n))
 
 

@@ -19,6 +19,12 @@ from .vertexset import MAX_CAPACITY, VertexSet, members
 INFINITE = math.inf
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise OutOfRange unless a graph on n vertices fits the packed word."""
+    if not 1 <= n <= MAX_CAPACITY:
+        raise OutOfRange(f"vertex count {n} outside 1..{MAX_CAPACITY}")
+
+
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
@@ -30,8 +36,7 @@ class Graph:
     __slots__ = ("n", "adj_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 1 <= n <= MAX_CAPACITY:
-            raise OutOfRange(f"vertex count {n} outside 1..{MAX_CAPACITY}")
+        check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:

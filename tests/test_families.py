@@ -25,6 +25,24 @@ def spec(text):
     return FamilySpec.parse(text)
 
 
+SEEDS = (0, 1, 2**64 - 1, -3, 2**64 + 5)
+
+
+def per_draw_graph(s):
+    """A seeded graph rebuilt one draw at a time: a Bernoulli draw per pair in
+    combinations order (cross pairs in order for bipartite), next_below for
+    each Prufer entry."""
+    rng, n = SplitMix64(s.seed), s.n
+    if s.kind is FamilyKind.RANDOM_TREE:
+        return Graph(n, prufer_decode([rng.next_below(n) for _ in range(n - 2)], n))
+    if s.kind is FamilyKind.RANDOM_GRAPH:
+        pairs = combinations(range(n), 2)
+    else:
+        split = (n + 1) // 2
+        pairs = [(a, b) for a in range(split) for b in range(split, n)]
+    return Graph(n, [pair for pair in pairs if rng.next_bernoulli(s.p)])
+
+
 class TestSplitMix64:
     def test_reference_vectors_seed_zero(self):
         rng = SplitMix64(0)
@@ -38,6 +56,13 @@ class TestSplitMix64:
         a = SplitMix64(42)
         b = SplitMix64(42)
         assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 2016])
+    def test_batch_equals_per_call_draws(self, seed, count):
+        batch, calls = SplitMix64(seed), SplitMix64(seed)
+        assert batch.next_u64s(count) == [calls.next_u64() for _ in range(count)]
+        assert batch.next_u64() == calls.next_u64()
 
     def test_bernoulli_extremes(self):
         rng = SplitMix64(7)
@@ -150,6 +175,55 @@ class TestGenerators:
     def test_star_center_is_zero(self):
         g = generate(spec("star:t=5"))
         assert g.degree(0) == 5
+
+    @pytest.mark.parametrize(
+        "text,n",
+        [
+            ("random:n=3000,p=0.5,seed=1", 3000),
+            ("random-bipartite:n=3000,p=0.5,seed=1", 3000),
+            ("random-tree:n=65,seed=1", 65),
+            ("circular:n=20000,d=3", 20000),
+            ("star:t=64", 65),
+            ("star+matching:t=1,r=32", 66),
+        ],
+    )
+    def test_oversized_refused_before_generating(self, text, n, monkeypatch):
+        s = spec(text)
+        monkeypatch.setitem(families._GENERATORS, s.kind, None)  # calling it would fail
+        with pytest.raises(OutOfRange) as exc:
+            generate(s)
+        assert str(exc.value) == f"vertex count {n} outside 1..64"
+
+    @pytest.mark.parametrize("kind", [FamilyKind.RANDOM_GRAPH, FamilyKind.RANDOM_BIPARTITE])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    @pytest.mark.parametrize(
+        "p", [Fraction(0), Fraction(1), Fraction(3, 20), Fraction(1, 3), Fraction(2**64 - 1, 2**64)]
+    )
+    def test_seeded_graphs_equal_per_draw_generation(self, kind, n, p):
+        for seed in SEEDS:
+            s = FamilySpec(kind=kind, n=n, p=p, seed=seed)
+            assert generate(s) == per_draw_graph(s), s
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    def test_seeded_trees_equal_per_draw_generation(self, n):
+        for seed in SEEDS:
+            s = FamilySpec(kind=FamilyKind.RANDOM_TREE, n=n, seed=seed)
+            assert generate(s) == per_draw_graph(s), s
+
+    @pytest.mark.parametrize("kind", [FamilyKind.RANDOM_GRAPH, FamilyKind.RANDOM_BIPARTITE])
+    def test_first_draw_at_the_threshold(self, kind):
+        # the first pair is present iff its draw z0 < p * 2^64: absent at
+        # p = z0 / 2^64, present at (z0 + 1) / 2^64, and a third either side
+        first = (0, 1) if kind is FamilyKind.RANDOM_GRAPH else (0, 9)
+        for seed in SEEDS:
+            z0 = SplitMix64(seed).next_u64()
+            for num, den, present in (
+                (z0, 1, False), (z0 + 1, 1, True), (3 * z0 - 1, 3, False), (3 * z0 + 1, 3, True)
+            ):
+                s = FamilySpec(kind=kind, n=17, p=Fraction(num, den << 64), seed=seed)
+                g = generate(s)
+                assert g.has_edge(*first) is present
+                assert g == per_draw_graph(s)
 
     def test_random_graph_reproducible(self):
         a = generate(spec("random:n=12,p=0.3,seed=42"))
