@@ -10,7 +10,7 @@ gate is marked not applicable and never carries a value.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import InvalidFamily, NotATree, OutOfDomain, UndefinedValue
@@ -40,15 +40,14 @@ _FORMULAS = {
 BOUND_IDS = tuple(_FORMULAS)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     bound: str
     applicable: bool
     value: int | None
     tight: bool | None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def all_bounds(

@@ -116,7 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--list", action="store_true", help="list claim ids and exit")
     p.add_argument("--scale", choices=SCALES, default="quick")
-    p.add_argument("--jobs", type=_positive(int), default=1)
+    p.add_argument(
+        "--jobs",
+        type=_positive(int),
+        default=1,
+        help="accepted for scripts and --config files; verify runs in one process",
+    )
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_common(p)
     p.set_defaults(func=_cmd_verify)

@@ -11,6 +11,7 @@ is what the CLI consumes.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from array import array
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, permutations, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainTooLarge, InvalidFamily
 from .graph import Graph, check_vertex_count
@@ -396,63 +397,10 @@ def _relabel(nbrs: list[list[int]], order: Sequence[int]) -> tuple[int, ...]:
     return tuple([sum([new_bit[u] for u in nbrs[v]]) for v in order])
 
 
-def _refined_cells(nbrs: list[list[int]]) -> list[list[int]]:
-    """The vertices grouped by colour refinement from the degrees, cells in
-    colour order. A colour is the rank of (own colour, sorted neighbour
-    colours) among the distinct such pairs, so cells and their order are
-    isomorphism invariants."""
-    n = len(nbrs)
-    colour = [len(members) for members in nbrs]
-    while True:
-        sig = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v]))) for v in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        refined = [rank[s] for s in sig]
-        if len(rank) == len(set(colour)):
-            break
-        colour = refined
-    cells: list[list[int]] = [[] for _ in rank]
-    for v in range(n):
-        cells[refined[v]].append(v)
-    return cells
-
-
-def _cell_orders(cells: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """Every vertex order that lists the cells in turn, each cell in any
-    order; generated lazily (``itertools.product`` would hold every
-    permutation of a cell at once: 5,040 for the leaves of an 8-vertex
-    star)."""
-    if not cells:
-        yield ()
-        return
-    for head in permutations(cells[0]):
-        for rest in _cell_orders(cells[1:]):
-            yield head + rest
-
-
-def _canonical_form(adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """The canonical adjacency of the graph and the order of its
-    automorphism group.
-
-    The form is the least relabelling over the vertex orders that list the
-    refined cells in turn. Isomorphic graphs have the same set of such
-    relabellings, so the same least one; an automorphism preserves the
-    cells, so the orders reaching the least form are one orbit of the
-    automorphism group, and their number is |Aut|.
-    """
-    nbrs = _neighbour_lists(adj)
-    best, hits = None, 0
-    for order in _cell_orders(_refined_cells(nbrs)):
-        form = _relabel(nbrs, order)
-        if best is None or form < best:
-            best, hits = form, 1
-        elif form == best:
-            hits += 1
-    return best, hits
-
-
-# vertex counts the class tables stop at: graphs as for the labeled scan;
-# trees one further (the canonical form tries (n-1)! orders on a star)
-_CLASS_MAX_N = {False: ENUMERATION_MAX_N, True: ENUMERATION_MAX_N + 1}
+# the class tables, one line per class in table order: g (graph) or t
+# (tree), n, the edge mask in combinations(range(n), 2) bit order in hex, and
+# the weight. tests/class_tables.py generates it
+_CLASS_TABLE_PATH = os.path.join(os.path.dirname(__file__), "isomorphism_classes.txt")
 
 
 def isomorphism_classes(
@@ -462,41 +410,41 @@ def isomorphism_classes(
     graphs, or of trees, on n vertices. The weight is the number of labeled
     graphs in the class.
 
-    Level n grows level n - 1 by augmentation: a new vertex joined to every
-    subset of the old ones, or for trees a new leaf, with duplicates decided
-    by ``_canonical_form`` (McKay, J. Algorithms 26, 1998). Each level checks
-    that its weights sum to 2^C(n,2), or to n^(n-2) for trees (Cayley), and
-    raises otherwise. Tables are built on first use and kept for the life of
-    the process.
+    The tables cover graphs on n <= 7 and trees on n <= 8; any other n
+    raises DomainTooLarge. They are read from the package's data file on
+    first use and kept for the life of the process.
     """
-    if not 1 <= n <= _CLASS_MAX_N[trees]:
+    tables, trees = _class_tables(), bool(trees)
+    if (trees, n) not in tables:
+        top = max(m for kind, m in tables if kind == trees)
         raise DomainTooLarge(
             f"isomorphism classes of {'trees' if trees else 'graphs'} "
-            f"supported for 1 <= n <= {_CLASS_MAX_N[trees]}, got {n}"
+            f"supported for 1 <= n <= {top}, got {n}"
         )
-    return _class_table(n, bool(trees))
+    return tables[trees, n]
 
 
 @lru_cache(maxsize=None)
-def _class_table(n: int, trees: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
-    if n == 1:
-        return (((0,), 1),)
-    new = 1 << (n - 1)
-    found: dict[tuple[int, ...], int] = {}
-    for adj, _ in _class_table(n - 1, trees):
-        joins = [1 << v for v in range(n - 1)] if trees else range(new)
-        for s in joins:
-            grown = [a | new if s >> v & 1 else a for v, a in enumerate(adj)]
-            grown.append(s)
-            form, aut = _canonical_form(grown)
-            if form not in found:
-                found[form] = math.factorial(n) // aut
-    expected = n ** (n - 2) if trees else 1 << (n * (n - 1) // 2)
-    if sum(found.values()) != expected:
-        raise RuntimeError(
-            f"class weights on n={n} sum to {sum(found.values())}, expected {expected}"
-        )
-    return tuple(found.items())
+def _class_tables() -> dict[tuple[bool, int], tuple[tuple[tuple[int, ...], int], ...]]:
+    """The decoded data file, keyed by (trees, n). Each level's weights must
+    sum to 2^C(n,2), or to n^(n-2) for trees (Cayley)."""
+    rows: dict[tuple[bool, int], list[tuple[tuple[int, ...], int]]] = {}
+    with open(_CLASS_TABLE_PATH, encoding="ascii") as lines:
+        for line in lines:
+            kind, n_text, mask_text, weight = line.split()
+            n, mask = int(n_text), int(mask_text, 16)
+            adj = [0] * n
+            for i, (u, v) in enumerate(combinations(range(n), 2)):
+                if mask >> i & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            rows.setdefault((kind == "t", n), []).append((tuple(adj), int(weight)))
+    for (trees, n), table in rows.items():
+        total = sum(weight for _, weight in table)
+        expected = n ** max(n - 2, 0) if trees else 1 << (n * (n - 1) // 2)
+        if total != expected:
+            raise RuntimeError(f"class weights on n={n} sum to {total}, expected {expected}")
+    return {key: tuple(table) for key, table in rows.items()}
 
 
 def labelings(adj: Sequence[int]) -> list[tuple[int, ...]]:

@@ -1,8 +1,12 @@
 import ast
 import importlib
+from fnmatch import fnmatch
 from pathlib import Path
 
+import pytest
+
 import totaldom
+from totaldom import families
 
 SRC = Path(__file__).parent.parent / "src" / "totaldom"
 
@@ -43,3 +47,13 @@ def test_package_verify_is_the_function_not_the_module():
     module = importlib.import_module("totaldom.verify")
     assert totaldom.verify is module.verify
     assert module.__name__ == "totaldom.verify"
+
+
+def test_package_data_declares_the_class_tables():
+    # an installed package must carry the data file that families reads
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(SRC.parent.parent / "pyproject.toml", "rb") as f:
+        patterns = tomllib.load(f)["tool"]["setuptools"]["package-data"]["totaldom"]
+    path = Path(families._CLASS_TABLE_PATH)
+    assert path.parent == Path(totaldom.__file__).parent and path.is_file()
+    assert any(fnmatch(path.name, pattern) for pattern in patterns)

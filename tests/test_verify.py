@@ -2,11 +2,14 @@ import dataclasses
 import hashlib
 import importlib
 import json
+from collections import defaultdict
 from itertools import combinations, permutations, product
 from math import factorial
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from totaldom import (
     DomainTooLarge,
@@ -30,7 +33,7 @@ from totaldom import (
 )
 from totaldom.bounds import path_cycle_formula, recognize_star_plus_matching
 from totaldom.cli import main as cli_main
-from totaldom.families import isomorphism_classes, labelings, prufer_decode
+from totaldom.families import _CLASS_TABLE_PATH, isomorphism_classes, labelings, prufer_decode
 from totaldom.verify import (
     SCAN_CLAIMS,
     _cex_sort_key,
@@ -47,6 +50,7 @@ from totaldom.verify import (
     shared_domains,
 )
 
+from class_tables import MAX_N, table_lines
 from conftest import edge_mask_graphs
 
 EXHAUSTIVE = SolverConfig(strategy=Strategy.EXHAUSTIVE)
@@ -222,6 +226,51 @@ class TestIsomorphismClasses:
     def test_outside_the_tables(self, n, trees):
         with pytest.raises(DomainTooLarge):
             isomorphism_classes(n, trees)
+
+    def test_one_vertex(self):
+        assert isomorphism_classes(1) == isomorphism_classes(1, trees=True) == (((0,), 1),)
+
+    def test_data_file_is_the_reference_generator_output(self):
+        # the tables are data: the file must be what the generator in
+        # tests/class_tables.py writes, line for line
+        with open(_CLASS_TABLE_PATH, encoding="ascii") as lines:
+            assert lines.read().splitlines() == table_lines()
+
+    def test_tables_against_networkx(self):
+        # a route independent of the generator: each graph class on n <= 7
+        # is isomorphic to exactly one graph of networkx's atlas, each tree
+        # class to exactly one of nonisomorphic_trees, each of those is hit
+        # once, and weight * |Aut| = n! with |Aut| counted by VF2
+        atlas = nx.graph_atlas_g()
+        for trees, top in MAX_N.items():
+            for n in range(1, top + 1):
+                others = list(nx.nonisomorphic_trees(n)) if trees else [
+                    h for h in atlas if len(h) == n
+                ]
+                buckets = defaultdict(list)
+                for i, h in enumerate(others):
+                    buckets[_degree_invariant(h)].append(i)
+                hits = []
+                for adj, weight in isomorphism_classes(n, trees):
+                    g = nx.empty_graph(n)
+                    g.add_edges_from(
+                        (u, v) for v, a in enumerate(adj) for u in range(v) if a >> u & 1
+                    )
+                    bucket = buckets[_degree_invariant(g)]
+                    same = [i for i in bucket if nx.is_isomorphic(g, others[i])]
+                    assert len(same) == 1, adj
+                    hits += same
+                    # |Aut| of a graph is that of its complement: count on the sparser
+                    if 4 * g.number_of_edges() > n * (n - 1):
+                        g = nx.complement(g)
+                    automorphisms = sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+                    assert automorphisms * weight == factorial(n), adj
+                assert sorted(hits) == list(range(len(others))), (n, trees)
+
+
+def _degree_invariant(g):
+    # each vertex's degree with its neighbours' degrees, as a multiset
+    return tuple(sorted((g.degree[v], tuple(sorted(g.degree[u] for u in g[v]))) for v in g))
 
 
 class TestClassRouteAgreesWithScan:
@@ -566,7 +615,7 @@ class TestVerifyArms:
 
         def lowered(g, exact=None, prof=None):
             return [
-                dataclasses.replace(r, value=r.value - 1) if r.applicable else r
+                r._replace(value=r.value - 1) if r.applicable else r
                 for r in real_all_bounds(g, exact, prof)
             ]
 
