@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -47,7 +48,9 @@ def _positive(kind: type):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: ``parse_args`` leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="totaldom",
         description=(
@@ -229,7 +232,7 @@ def _witness_text(result: DominationResult | None) -> str:
 def _stats_dict(result: DominationResult | None) -> dict | None:
     if result is None:
         return None
-    counters = dataclasses.asdict(result.stats)
+    counters = result.stats._asdict()
     elapsed = counters.pop("elapsed_seconds")
     return {**counters, "elapsed_ms": int(elapsed * 1000)}
 

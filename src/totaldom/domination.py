@@ -52,7 +52,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ResourceExhausted
 from .graph import Graph
@@ -77,8 +77,7 @@ class SolverConfig:
             raise ValueError("time_limit must be positive")
 
 
-@dataclass(frozen=True)
-class SolverStats:
+class SolverStats(NamedTuple):
     """Work done by one solve. The exhaustive strategy counts only subsets;
     branch and bound counts nodes, forced picks, its prunes by reason and
     the times it improved on its incumbent. Once at most two more picks
@@ -103,8 +102,7 @@ class SolverStats:
     elapsed_seconds: float = 0.0
 
 
-@dataclass(frozen=True)
-class DominationResult:
+class DominationResult(NamedTuple):
     value: int
     witness: VertexSet
     stats: SolverStats

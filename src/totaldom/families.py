@@ -411,40 +411,42 @@ def isomorphism_classes(
     graphs in the class.
 
     The tables cover graphs on n <= 7 and trees on n <= 8; any other n
-    raises DomainTooLarge. They are read from the package's data file on
-    first use and kept for the life of the process.
+    raises DomainTooLarge. Each table is read from the package's data file
+    on first use and kept for the life of the process.
     """
-    tables, trees = _class_tables(), bool(trees)
-    if (trees, n) not in tables:
-        top = max(m for kind, m in tables if kind == trees)
-        raise DomainTooLarge(
-            f"isomorphism classes of {'trees' if trees else 'graphs'} "
-            f"supported for 1 <= n <= {top}, got {n}"
-        )
-    return tables[trees, n]
+    return _class_table(bool(trees), n)
 
 
 @lru_cache(maxsize=None)
-def _class_tables() -> dict[tuple[bool, int], tuple[tuple[tuple[int, ...], int], ...]]:
-    """The decoded data file, keyed by (trees, n). Each level's weights must
-    sum to 2^C(n,2), or to n^(n-2) for trees (Cayley)."""
-    rows: dict[tuple[bool, int], list[tuple[tuple[int, ...], int]]] = {}
+def _class_table(trees: bool, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One level of the data file, decoded on its first request: the other
+    levels are not decoded. Its weights must sum to 2^C(n,2), or to n^(n-2)
+    for trees (Cayley)."""
+    prefix, table = f"{'t' if trees else 'g'} {n} ", []
     with open(_CLASS_TABLE_PATH, encoding="ascii") as lines:
         for line in lines:
-            kind, n_text, mask_text, weight = line.split()
-            n, mask = int(n_text), int(mask_text, 16)
+            if not line.startswith(prefix):
+                continue
+            _, _, mask_text, weight = line.split()
+            mask = int(mask_text, 16)
             adj = [0] * n
             for i, (u, v) in enumerate(combinations(range(n), 2)):
                 if mask >> i & 1:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-            rows.setdefault((kind == "t", n), []).append((tuple(adj), int(weight)))
-    for (trees, n), table in rows.items():
-        total = sum(weight for _, weight in table)
-        expected = n ** max(n - 2, 0) if trees else 1 << (n * (n - 1) // 2)
-        if total != expected:
-            raise RuntimeError(f"class weights on n={n} sum to {total}, expected {expected}")
-    return {key: tuple(table) for key, table in rows.items()}
+            table.append((tuple(adj), int(weight)))
+        if not table:
+            lines.seek(0)
+            top = max(int(line.split()[1]) for line in lines if line[0] == prefix[0])
+            raise DomainTooLarge(
+                f"isomorphism classes of {'trees' if trees else 'graphs'} "
+                f"supported for 1 <= n <= {top}, got {n}"
+            )
+    total = sum(weight for _, weight in table)
+    expected = n ** max(n - 2, 0) if trees else 1 << (n * (n - 1) // 2)
+    if total != expected:
+        raise RuntimeError(f"class weights on n={n} sum to {total}, expected {expected}")
+    return tuple(table)
 
 
 def labelings(adj: Sequence[int]) -> list[tuple[int, ...]]:

@@ -8,8 +8,7 @@ branch-free. Graphs are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EdgeListFormatError, OutOfRange, RejectedEdge
 from .vertexset import MAX_CAPACITY, VertexSet, members
@@ -131,8 +130,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, edges)
 
 
-@dataclass(frozen=True)
-class StructuralProfile:
+class StructuralProfile(NamedTuple):
     """Degree extremes and the structural facts gating each bound."""
 
     max_degree: int
@@ -147,15 +145,40 @@ class StructuralProfile:
 # -- mask-level helpers (shared with bounds and verify) ----------------------
 
 
-def bfs_layers(adj: Sequence[int], start: int) -> list[int]:
-    """Breadth-first frontiers from ``start`` as bitmasks: entry d holds the
-    vertices at distance d. This frontier loop is the one traversal of the
-    module; two_coloring_masks and girth_masks run it inline to read events
-    inside a layer."""
-    seen = frontier = 1 << start
-    layers = []
-    while frontier:
-        layers.append(frontier)
+def _walk(adj: Sequence[int], root: int, best: float, full: bool = True) -> tuple[int, int, float]:
+    """Breadth-first walk from ``root``: (the vertices it reaches, the depth of
+    its last layer, the shorter of ``best`` and the cycles it finds). With
+    ``full`` false it stops once no cycle shorter than ``best`` can be found.
+
+    Two events are read at depth d while 2d+1 < best: an edge inside layer d
+    closes a cycle of length at most 2d+1, and a new vertex reached from two
+    layer-d vertices closes one of length at most 2d+2 (each event closes a
+    walk that uses one edge once, so the walk holds a cycle no longer than
+    itself). From a root on a shortest cycle, BFS distances along that cycle
+    equal the cycle distances, since a shortcut would close a shorter cycle;
+    so that root's first event has exactly the girth, and the minimum over
+    all roots is exact. After that the walk is a plain frontier loop, which
+    ``two_coloring_masks`` runs inline too.
+    """
+    seen = frontier = 1 << root
+    d = 0
+    while frontier and 2 * d + 1 < best:
+        nxt = twice = 0
+        m = frontier
+        while m:
+            low = m & -m
+            a = adj[low.bit_length() - 1]
+            twice |= nxt & a  # also a neighbour of an earlier frontier vertex
+            nxt |= a
+            m ^= low
+        if nxt & frontier:
+            best = 2 * d + 1
+        elif twice & ~seen:
+            best = 2 * d + 2
+        frontier = nxt & ~seen
+        seen |= frontier
+        d += 1
+    while full and frontier:
         nxt = 0
         m = frontier
         while m:
@@ -164,11 +187,12 @@ def bfs_layers(adj: Sequence[int], start: int) -> list[int]:
             m ^= low
         frontier = nxt & ~seen
         seen |= frontier
-    return layers
+        d += 1
+    return seen, d - 1, best
 
 
 def is_connected_masks(adj: Sequence[int], n: int) -> bool:
-    return sum(bfs_layers(adj, 0)) == (1 << n) - 1  # the layers are disjoint
+    return _walk(adj, 0, 0)[0] == (1 << n) - 1
 
 
 def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:
@@ -177,8 +201,8 @@ def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:
     The lowest-indexed vertex of every component (isolated vertices included)
     lands in side a, which makes the partition deterministic. Sides alternate
     by BFS layer, and an edge inside a layer closes an odd cycle. The frontier
-    loop of ``bfs_layers`` runs inline here, so that the check reads the
-    layer's neighbourhood as it is built and stops at the first such layer.
+    loop of ``_walk`` runs inline here, so that the check reads the layer's
+    neighbourhood as it is built and stops at the first such layer.
     """
     sides = [0, 0]
     remaining = (1 << n) - 1
@@ -203,46 +227,19 @@ def two_coloring_masks(adj: Sequence[int], n: int) -> tuple[int, int] | None:
 
 
 def girth_masks(adj: Sequence[int], n: int) -> float:
-    """Length of a shortest cycle; INFINITE when acyclic.
-
-    BFS from every root, reading two events at depth d: an edge inside
-    layer d closes a cycle of length at most 2d+1, and a new vertex reached
-    from two layer-d vertices closes one of length at most 2d+2 (each event
-    closes a walk that uses one edge once, so the walk holds a cycle no
-    longer than itself). From a root on a shortest cycle, BFS distances
-    along that cycle equal the cycle distances, since a shortcut would close
-    a shorter cycle; so that root's first event has exactly the girth, and
-    the minimum over all roots is exact.
-    """
+    """Length of a shortest cycle; INFINITE when acyclic."""
     best = INFINITE
     for root in range(n):
-        seen = frontier = 1 << root
-        d = 0
-        while frontier and 2 * d + 1 < best:
-            nxt = twice = 0
-            m = frontier
-            while m:
-                low = m & -m
-                a = adj[low.bit_length() - 1]
-                twice |= nxt & a  # also a neighbour of an earlier frontier vertex
-                nxt |= a
-                m ^= low
-            if nxt & frontier:
-                best = 2 * d + 1
-            elif twice & ~seen:
-                best = 2 * d + 2
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
+        best = _walk(adj, root, best, full=False)[2]
         if best == 3:
             return 3
     return best
 
 
 def profile(g: Graph) -> StructuralProfile:
-    """Compute the full structural profile of ``g``. The BFS from vertex 0
-    decides connectivity and, on a connected graph, is the first of the n
-    whose depths give the diameter."""
+    """Compute the full structural profile of ``g``, with one walk per root:
+    the walk from vertex 0 decides connectivity, and on a connected graph the
+    deepest layer of all n walks is the diameter."""
     adj = g.adj_masks
     n = g.n
     degs = g.degrees()
@@ -250,16 +247,16 @@ def profile(g: Graph) -> StructuralProfile:
     bipartition = None
     if coloring is not None:
         bipartition = (VertexSet(n, coloring[0]), VertexSet(n, coloring[1]))
-    first = bfs_layers(adj, 0)
-    connected = sum(first) == g.full_mask  # the layers are disjoint
-    diameter = INFINITE
-    if connected:
-        diameter = max([len(first)] + [len(bfs_layers(adj, s)) for s in range(1, n)]) - 1
+    reach, diameter, girth = _walk(adj, 0, INFINITE)
+    connected = reach == g.full_mask
+    for root in range(1, n):
+        _, depth, girth = _walk(adj, root, girth, connected)
+        diameter = max(diameter, depth)
     return StructuralProfile(
         max_degree=max(degs),
         min_degree=min(degs),
-        diameter=diameter,
-        girth=girth_masks(adj, n),
+        diameter=diameter if connected else INFINITE,
+        girth=girth,
         is_connected=connected,
         isolated=VertexSet(n, g.isolated_mask()),
         bipartition=bipartition,

@@ -497,9 +497,9 @@ def _evaluate(g: Graph, claims: Sequence[str], spec: FamilySpec | None) -> _Resu
     direction from ``_FORMULAS``, values from ``gamma_t`` and ``gamma``. The
     attained bound is the Cockayne bound for bipartite_extremal (the
     extremal graphs) and gamma_t = 2 gamma for sandwich."""
-    prof = profile(g)
-    if prof.isolated:  # every claim's hypothesis excludes isolated vertices
+    if g.isolated_mask():  # every claim's hypothesis excludes isolated vertices
         return {}
+    prof = profile(g)
     reports = {r.bound: r for r in all_bounds(g, prof=prof)}
     applies = {c: r.applicable for c, r in reports.items()}
     applies["bipartite_extremal"] = prof.bipartition is not None

@@ -1,8 +1,9 @@
-import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -74,7 +75,7 @@ class TestCompute:
         def skewed(g, config=None):
             res = gamma_t(g, config)
             if config.strategy is Strategy.BRANCH_AND_BOUND:
-                return dataclasses.replace(res, value=res.value + 1)
+                return res._replace(value=res.value + 1)
             return res
 
         monkeypatch.setattr(cli, "gamma_t", skewed)
@@ -399,6 +400,21 @@ class TestConfigFile:
         )
         assert code == 0
         assert out.startswith("n=5")
+
+    def test_one_parser_per_process_keeps_no_config(self, capsys, tmp_path):
+        # every call in a process shares one parser: a config file's values
+        # must apply to its own call only, as in a fresh process
+        assert cli._build_parser() is cli._build_parser()
+        cfg = tmp_path / "stats.cfg"
+        cfg.write_text("stats=true\n")
+        untimed = partial(re.sub, r"elapsed_ms=\d+", "elapsed_ms=")
+        for argv in (["verify", "--config", str(cfg)], ["verify"],
+                     ["compute", "--family", "cycle:n=10"]):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "totaldom", *argv], capture_output=True, text=True
+            )
+            code, out, _ = run(capsys, *argv)
+            assert (code, untimed(out)) == (fresh.returncode, untimed(fresh.stdout))
 
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "solver.cfg"

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, compress
@@ -402,7 +401,7 @@ class TestSearchPins:
     )
     def test_bnb_search_is_pinned(self, spec, solve, value, mask, counters):
         res = solve(family(spec), BNB)
-        stats = dataclasses.astuple(res.stats)
+        stats = tuple(res.stats)
         assert (res.value, res.witness.mask, stats[:-1]) == (value, mask, counters)
 
 

@@ -17,7 +17,8 @@ from totaldom import (
     parse_edge_list,
     profile,
 )
-from totaldom.families import FamilyKind, FamilySpec, generate
+from totaldom.families import FamilyKind, FamilySpec, generate, isomorphism_classes
+from totaldom.graph import girth_masks, is_connected_masks
 
 from conftest import edge_mask_graphs, graph_inputs
 
@@ -165,6 +166,88 @@ def test_profile_matches_networkx_on_every_graph_up_to_6():
             assert (p.bipartition is not None) == nx.is_bipartite(h), (n, edges)
             count += 1
     assert count == 33_867
+
+
+# the separate walks that profile made before one walk per root did it all:
+# a frontier loop per root for the diameter and connectivity, and an
+# event-reading loop per root for the girth
+
+
+def layers(adj, start):
+    seen = frontier = 1 << start
+    out = []
+    while frontier:
+        out.append(frontier)
+        nxt = 0
+        for v in range(len(adj)):
+            if frontier >> v & 1:
+                nxt |= adj[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return out
+
+
+def separate_girth(adj, n):
+    best = INFINITE
+    for root in range(n):
+        seen = frontier = 1 << root
+        d = 0
+        while frontier and 2 * d + 1 < best:
+            nxt = twice = 0
+            m = frontier
+            while m:
+                low = m & -m
+                a = adj[low.bit_length() - 1]
+                twice |= nxt & a
+                nxt |= a
+                m ^= low
+            if nxt & frontier:
+                best = 2 * d + 1
+            elif twice & ~seen:
+                best = 2 * d + 2
+            frontier = nxt & ~seen
+            seen |= frontier
+            d += 1
+        if best == 3:
+            return 3
+    return best
+
+
+def assert_walks_agree(g):
+    adj, n = g.adj_masks, g.n
+    p = profile(g)
+    connected = sum(layers(adj, 0)) == g.full_mask
+    diameter = max(len(layers(adj, s)) for s in range(n)) - 1 if connected else INFINITE
+    assert (p.is_connected, is_connected_masks(adj, n)) == (connected, connected)
+    assert p.diameter == diameter
+    assert p.girth == girth_masks(adj, n) == separate_girth(adj, n)
+
+
+def test_one_walk_per_root_matches_the_separate_walks_on_every_class_up_to_7():
+    count = 0
+    for n in range(1, 8):
+        for adj, _ in isomorphism_classes(n):
+            assert_walks_agree(Graph.from_masks(adj))
+            count += 1
+    assert count == 1_252
+
+
+@st.composite
+def sparse_graphs(draw, max_n=64):
+    """(n, edges) with up to 2n edges: long paths and cycles, so deep walks
+    and every girth occur."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return n, [(u, v) for u, v in pairs if u != v]
+
+
+@example((64, [(i, i + 1) for i in range(63)]))
+@example((64, [(i, (i + 1) % 64) for i in range(64)]))
+@example((63, [(i, (i + 1) % 31) for i in range(31)] + [(31 + i, 31 + (i + 1) % 32) for i in range(32)]))
+@given(st.one_of(sparse_graphs(), graph_inputs(max_n=16)))
+def test_one_walk_per_root_matches_the_separate_walks_up_to_64(inp):
+    assert_walks_agree(Graph(*inp))
 
 
 @given(graph_inputs())

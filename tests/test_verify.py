@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 from collections import defaultdict
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 from pathlib import Path
@@ -32,6 +33,7 @@ from totaldom import (
     verify_all,
 )
 from totaldom.bounds import path_cycle_formula, recognize_star_plus_matching
+from totaldom import families
 from totaldom.cli import main as cli_main
 from totaldom.families import _CLASS_TABLE_PATH, isomorphism_classes, labelings, prufer_decode
 from totaldom.verify import (
@@ -160,7 +162,7 @@ def _shift_gamma_t(monkeypatch, shift):
 
     def solver(g, config=None):
         res = real_gamma_t(g, config)
-        return None if res is None else dataclasses.replace(res, value=res.value + shift)
+        return None if res is None else res._replace(value=res.value + shift)
 
     monkeypatch.setattr(verify_mod, "_total_cover_layers", layers)
     monkeypatch.setattr(verify_mod, "gamma_t", solver)
@@ -229,6 +231,33 @@ class TestIsomorphismClasses:
 
     def test_one_vertex(self):
         assert isomorphism_classes(1) == isomorphism_classes(1, trees=True) == (((0,), 1),)
+
+    def test_a_quick_run_decodes_only_the_levels_it_reads(self, monkeypatch):
+        # one (trees, n) level per request: the 1,044 graph classes on 7
+        # vertices stay in the file at quick scale
+        real, decoded = families._class_table.__wrapped__, []
+
+        def decode(trees, n):
+            decoded.append((trees, n))
+            return real(trees, n)
+
+        monkeypatch.setattr(families, "_class_table", lru_cache(maxsize=None)(decode))
+        verify_all("quick")
+        assert decoded == [(False, n) for n in range(1, 7)] + [(True, n) for n in range(2, 9)]
+
+    def test_each_level_checks_its_own_weights(self, monkeypatch, tmp_path):
+        # without K4 the graphs on 4 vertices no longer count 2^6 labelings;
+        # the other levels still load
+        with open(_CLASS_TABLE_PATH, encoding="ascii") as lines:
+            kept = [line for line in lines if line != "g 4 3f 1\n"]
+        path = tmp_path / "classes.txt"
+        path.write_text("".join(kept), encoding="ascii")
+        monkeypatch.setattr(families, "_CLASS_TABLE_PATH", str(path))
+        fresh = lru_cache(maxsize=None)(families._class_table.__wrapped__)
+        monkeypatch.setattr(families, "_class_table", fresh)
+        with pytest.raises(RuntimeError, match="n=4 sum to 63, expected 64"):
+            isomorphism_classes(4)
+        assert len(isomorphism_classes(5)) == 34
 
     def test_data_file_is_the_reference_generator_output(self):
         # the tables are data: the file must be what the generator in
