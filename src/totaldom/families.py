@@ -22,7 +22,7 @@ from itertools import combinations, compress, permutations, product
 from typing import Callable, Sequence
 
 from .errors import DomainTooLarge, InvalidFamily
-from .graph import Graph, check_vertex_count
+from .graph import Graph, _adjacency, check_vertex_count
 
 MASK64 = (1 << 64) - 1
 
@@ -282,13 +282,9 @@ def _gen_complete(spec: FamilySpec) -> Graph:
     return Graph(spec.n, combinations(range(spec.n), 2))
 
 
-def _gen_star(spec: FamilySpec) -> Graph:
-    # center is always vertex 0
-    return Graph(spec.t + 1, [(0, i) for i in range(1, spec.t + 1)])
-
-
 def _gen_star_plus_matching(spec: FamilySpec) -> Graph:
-    t, r = spec.t, spec.r
+    # center is always vertex 0; a star is the case r = 0
+    t, r = spec.t, spec.r or 0
     edges = [(0, i) for i in range(1, t + 1)]
     edges += [(t + 1 + 2 * i, t + 2 + 2 * i) for i in range(r)]
     return Graph(t + 1 + 2 * r, edges)
@@ -372,7 +368,7 @@ _GENERATORS: dict[FamilyKind, Callable[[FamilySpec], Graph]] = {
     FamilyKind.PATH: _gen_path,
     FamilyKind.CYCLE: _gen_cycle,
     FamilyKind.COMPLETE: _gen_complete,
-    FamilyKind.STAR: _gen_star,
+    FamilyKind.STAR: _gen_star_plus_matching,
     FamilyKind.STAR_PLUS_MATCHING: _gen_star_plus_matching,
     FamilyKind.CIRCULAR_COMPLETE: _gen_circular_complete,
     FamilyKind.RANDOM_GRAPH: _gen_random_graph,
@@ -423,18 +419,13 @@ def _class_table(trees: bool, n: int) -> tuple[tuple[tuple[int, ...], int], ...]
     levels are not decoded. Its weights must sum to 2^C(n,2), or to n^(n-2)
     for trees (Cayley)."""
     prefix, table = f"{'t' if trees else 'g'} {n} ", []
+    pairs = list(combinations(range(n), 2))
     with open(_CLASS_TABLE_PATH, encoding="ascii") as lines:
         for line in lines:
             if not line.startswith(prefix):
                 continue
-            _, _, mask_text, weight = line.split()
-            mask = int(mask_text, 16)
-            adj = [0] * n
-            for i, (u, v) in enumerate(combinations(range(n), 2)):
-                if mask >> i & 1:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-            table.append((tuple(adj), int(weight)))
+            _, _, mask, weight = line.split()
+            table.append((tuple(_adjacency(n, pairs, int(mask, 16))), int(weight)))
         if not table:
             lines.seek(0)
             top = max(int(line.split()[1]) for line in lines if line[0] == prefix[0])

@@ -142,7 +142,18 @@ class StructuralProfile(NamedTuple):
     bipartition: tuple[VertexSet, VertexSet] | None
 
 
-# -- mask-level helpers (shared with bounds and verify) ----------------------
+# -- mask-level helpers (shared with bounds, families and verify) ------------
+
+
+def _adjacency(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> list[int]:
+    """The adjacency masks of the graph on n vertices whose edges are the
+    ``pairs[t]`` with bit t of ``mask`` set: an edge mask decoded."""
+    adj = [0] * n
+    for t in members(mask):
+        u, v = pairs[t]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _walk(adj: Sequence[int], root: int, best: float, full: bool = True) -> tuple[int, int, float]:
@@ -277,13 +288,8 @@ def parse_edge_list(text: str) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListFormatError(
-                f"line {line_no}: expected two integers, got {raw!r}", line_no
-            )
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = map(int, line.split())
         except ValueError:
             raise EdgeListFormatError(
                 f"line {line_no}: expected two integers, got {raw!r}", line_no

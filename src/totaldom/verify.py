@@ -76,6 +76,7 @@ from .families import (
 )
 from .graph import (
     Graph,
+    _adjacency,
     girth_masks,
     is_connected_masks,
     profile,
@@ -212,22 +213,6 @@ def _cover_layers(covers: Sequence[int]) -> list[int]:
     return layers
 
 
-def _total_cover_layers(covers: Sequence[int]) -> list[int]:
-    """gamma_t's cover layers, by a name of their own so that they can be replaced."""
-    return _cover_layers(covers)
-
-
-def _adjacency(n: int, pairs: Sequence[tuple[int, int]], i: int) -> list[int]:
-    """The adjacency masks of graph i on n vertices, given ``pairs =
-    _index_pairs(n)``: the scan decodes only the graphs it looks at one by one."""
-    adj = [0] * n
-    for t in members(i):
-        u, v = pairs[t]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 class _Bitmaps(NamedTuple):
     """The graphs of one chunk, as bitmaps over it, bit j set when graph
     lo + j has the property:
@@ -328,7 +313,7 @@ def _chunk_bitmaps(n: int, lo: int, hi: int) -> _Bitmaps:
         reduce(and_, reach),
         full ^ odd,
         ok & ~centres,
-        _total_cover_layers(total),
+        _cover_layers(total),
         _cover_layers(dom),
     )
 
@@ -457,8 +442,9 @@ def scan_bound_claims(
 
 # -- the claim table ----------------------------------------------------------
 #
-# Each claim is one row of _ROWS, a function of (claim, scale). A class part
-# counts each isomorphism class n!/|Aut| times, the number of its labelings.
+# _parts(claim, scale) gives each claim's domains: its class part, if any, and
+# its seeded family parts. A class part counts each isomorphism class n!/|Aut|
+# times, the number of its labelings.
 
 
 class _Tally(NamedTuple):
@@ -485,8 +471,6 @@ class _Tally(NamedTuple):
 
 # what a check returns: claim -> (bound attained, counterexample detail or None)
 _Results = dict[str, tuple[bool, dict | None]]
-# what a row returns: class-part tally (None for closed forms), other tallies
-_Row = tuple[_Tally | None, list[_Tally]]
 
 
 def _evaluate(g: Graph, claims: Sequence[str], spec: FamilySpec | None) -> _Results:
@@ -615,22 +599,6 @@ def shared_domains() -> Iterator[None]:
         _shared.pop()
 
 
-def _graph_row(claim: str, scale: str) -> _Row:
-    n_max = 6 if scale == "quick" else 7
-    tallies = _shared[-1] if _shared else {}
-    if n_max not in tallies:
-        tallies[n_max] = _tally(_class_domain(range(1, n_max + 1)), SCAN_CLAIMS)
-    extra = []
-    if claim in _RANDOM_GRAPH_CLAIMS:  # the same random graphs at either scale
-        extra.append(_spec_part(_RANDOM_GRAPH_CLAIMS, _evaluate, random_graph_specs)[claim])
-    return tallies[n_max][claim], extra
-
-
-def _tree_star_row(claim: str, scale: str) -> _Row:
-    classes = _tally(_class_domain(range(2, 9), trees=True), [claim], _tree_star)[claim]
-    return classes, [_spec_part([claim], _tree_star, random_tree_specs)[claim]]
-
-
 def _closed_form_specs(claim: str, scale: str) -> list[FamilySpec]:
     """The paths and cycles, or the circular graphs, of a closed-form claim."""
     if claim == "path_cycle_formula":
@@ -647,15 +615,22 @@ def _closed_form_specs(claim: str, scale: str) -> list[FamilySpec]:
     ]
 
 
-def _closed_form_row(claim: str, scale: str) -> _Row:
+def _parts(claim: str, scale: str) -> tuple[_Tally | None, list[_Tally]]:
+    """The tallies of ``claim`` at ``scale``: its class part (None for the
+    closed forms) and its seeded family parts."""
+    if claim in SCAN_CLAIMS:
+        n_max = 6 if scale == "quick" else 7
+        tallies = _shared[-1] if _shared else {}
+        if n_max not in tallies:
+            tallies[n_max] = _tally(_class_domain(range(1, n_max + 1)), SCAN_CLAIMS)
+        extra = []
+        if claim in _RANDOM_GRAPH_CLAIMS:  # the same random graphs at either scale
+            extra.append(_spec_part(_RANDOM_GRAPH_CLAIMS, _evaluate, random_graph_specs)[claim])
+        return tallies[n_max][claim], extra
+    if claim == "tree_star":
+        classes = _tally(_class_domain(range(2, 9), trees=True), [claim], _tree_star)[claim]
+        return classes, [_spec_part([claim], _tree_star, random_tree_specs)[claim]]
     return None, [_spec_part([claim], _closed_form, _closed_form_specs, claim, scale)[claim]]
-
-
-_ROWS = {
-    **dict.fromkeys(SCAN_CLAIMS, _graph_row),
-    **dict.fromkeys(("path_cycle_formula", "circular_two", "circular_three"), _closed_form_row),
-    "tree_star": _tree_star_row,
-}
 
 
 def verify(theorem: TheoremId, scale: str = "quick") -> VerificationReport:
@@ -664,7 +639,7 @@ def verify(theorem: TheoremId, scale: str = "quick") -> VerificationReport:
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     t0 = time.perf_counter()
-    by_class, extra = _ROWS[theorem.value](theorem.value, scale)
+    by_class, extra = _parts(theorem.value, scale)
     parts = extra if by_class is None else [by_class, *extra]
     cex = sorted((record for p in parts for record in p.counterexamples), key=_cex_sort_key)
     return VerificationReport(

@@ -176,6 +176,12 @@ class TestGenerators:
         g = generate(spec("star:t=5"))
         assert g.degree(0) == 5
 
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_star_is_star_plus_matching_with_no_matching(self, t):
+        star = spec(f"star:t={t}")
+        assert generate(star) == generate(spec(f"star+matching:t={t},r=0"))
+        assert str(star) == f"star:t={t}"
+
     @pytest.mark.parametrize(
         "text,n",
         [

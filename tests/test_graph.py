@@ -324,9 +324,12 @@ class TestEdgeListFormat:
         assert g.n == 3 and g.m == 2
 
     def test_malformed_line_reports_number(self):
-        with pytest.raises(EdgeListFormatError) as exc:
-            parse_edge_list("3 1\n0 x\n")
-        assert exc.value.line_no == 2
+        # a field that is not an integer, three fields, one field
+        for line in ("0 x", "0 1 2", "7"):
+            with pytest.raises(EdgeListFormatError) as exc:
+                parse_edge_list(f"3 1\n{line}\n")
+            assert exc.value.line_no == 2
+            assert str(exc.value) == f"line 2: expected two integers, got {line!r}"
 
     def test_edge_count_mismatch(self):
         with pytest.raises(EdgeListFormatError):

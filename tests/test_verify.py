@@ -151,20 +151,21 @@ class TestScanAgreesWithSolvers:
 
 
 def _shift_gamma_t(monkeypatch, shift):
-    """Make both routes see gamma_t + shift: the scan's cover layers, where
-    layer k of gamma_t + shift is layer k - shift of gamma_t, and the public
-    solver as the class route calls it."""
-    real_layers, real_gamma_t = verify_mod._total_cover_layers, verify_mod.gamma_t
+    """Make both routes see gamma_t + shift: the scan's cover layers in each
+    chunk's bitmaps, where layer k of gamma_t + shift is layer k - shift of
+    gamma_t, and the public solver as the class route calls it."""
+    real_bitmaps, real_gamma_t = verify_mod._chunk_bitmaps, verify_mod.gamma_t
 
-    def layers(covers):
-        real = real_layers(covers)
-        return [0] * shift + real if shift >= 0 else real[-shift:]
+    def bitmaps(n, lo, hi):
+        real = real_bitmaps(n, lo, hi)
+        layers = real.gamma_t
+        return real._replace(gamma_t=[0] * shift + layers if shift >= 0 else layers[-shift:])
 
     def solver(g, config=None):
         res = real_gamma_t(g, config)
         return None if res is None else res._replace(value=res.value + shift)
 
-    monkeypatch.setattr(verify_mod, "_total_cover_layers", layers)
+    monkeypatch.setattr(verify_mod, "_chunk_bitmaps", bitmaps)
     monkeypatch.setattr(verify_mod, "gamma_t", solver)
     # the seeded family domains' tallies are kept by domain, not by solver:
     # the shifted solver fills a store of its own, empty on entry and dropped
@@ -385,7 +386,7 @@ class TestClassRouteAgreesWithScan:
             if extremal != star:
                 detail = {"gamma_t": gt, "extremal": extremal, "star": star}
                 cex.append({"instance": {"family": str(spec)}, "detail": detail})
-        _, (random_trees,) = verify_mod._tree_star_row("tree_star", "quick")
+        _, (random_trees,) = verify_mod._parts("tree_star", "quick")
         assert random_trees.instances == len(random_tree_specs())
         assert random_trees.counterexamples == sorted(cex, key=_cex_sort_key)
         assert bool(cex) == bool(shift)
